@@ -1,6 +1,7 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -30,12 +31,12 @@ RequestBatcher::~RequestBatcher() { Drain(); }
 
 bool RequestBatcher::Enqueue(AnnotateRequest request) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (!draining_) {
-      if (request.deadline != kNoDeadline) deadlined_in_queue_++;
       queue_.push_back(std::move(request));
       QueueDepthGauge().Set(static_cast<double>(queue_.size()));
-      cv_.notify_all();
+      lock.unlock();
+      cv_.notify_one();  // the dispatcher is the only waiter
       return true;
     }
   }
@@ -76,16 +77,6 @@ size_t RequestBatcher::Depth() const {
   return queue_.size();
 }
 
-std::chrono::steady_clock::time_point
-RequestBatcher::EarliestQueuedDeadline() const {
-  auto earliest = kNoDeadline;
-  if (deadlined_in_queue_ == 0) return earliest;
-  for (const AnnotateRequest& request : queue_) {
-    earliest = std::min(earliest, request.deadline);
-  }
-  return earliest;
-}
-
 void RequestBatcher::DispatcherMain() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -94,35 +85,15 @@ void RequestBatcher::DispatcherMain() {
     });
     if (queue_.empty()) return;  // draining and nothing left
 
-    // Batch window: the first request the dispatcher sees opens it; close
-    // at max_batch coalesced requests or when the window deadline passes,
-    // whichever first. The window deadline is max_delay after opening,
-    // clamped to the earliest per-request deadline in the queue (a batch
-    // must never outwait a request's remaining budget). A drain flushes
-    // immediately — admitted requests must not wait out the window during
-    // shutdown.
-    if (!window_open_) {
-      window_open_ = true;
-      window_deadline_ = std::chrono::steady_clock::now() + policy_.max_delay;
-    }
-    while (queue_.size() < policy_.max_batch && !draining_ && !paused_) {
-      auto close = std::min(window_deadline_, EarliestQueuedDeadline());
-      if (cv_.wait_until(lock, close) == std::cv_status::timeout) break;
-    }
-    // Re-paused mid-window: hold the queue, but keep the open window —
-    // when dispatch resumes, already-queued requests finish waiting out
-    // their original window instead of being taxed a fresh max_delay.
-    if (paused_ && !draining_) continue;
-
-    window_open_ = false;
-    size_t take = std::min(queue_.size(), policy_.max_batch);
-    std::vector<AnnotateRequest> batch;
-    batch.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      if (queue_.front().deadline != kNoDeadline) deadlined_in_queue_--;
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
+    // Idle with work queued: take everything that arrived while the last
+    // batch ran (or while paused), up to max_batch, and go. Nothing waits
+    // for company — under load the queue refills while this batch runs,
+    // so batch size follows the arrival rate on its own.
+    const size_t take = std::min(queue_.size(), policy_.max_batch);
+    std::vector<AnnotateRequest> batch(
+        std::make_move_iterator(queue_.begin()),
+        std::make_move_iterator(queue_.begin() + take));
+    queue_.erase(queue_.begin(), queue_.begin() + take);
     QueueDepthGauge().Set(static_cast<double>(queue_.size()));
 
     lock.unlock();

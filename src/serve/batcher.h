@@ -1,7 +1,6 @@
 #ifndef CSD_SERVE_BATCHER_H_
 #define CSD_SERVE_BATCHER_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -14,16 +13,9 @@
 
 namespace csd::serve {
 
-/// When a batch closes: at `max_batch` coalesced requests, or `max_delay`
-/// after the first request of the batch arrived, whichever comes first —
-/// and never later than the earliest per-request deadline in the queue
-/// (holding a request that is about to expire to wait for company would
-/// spend its whole budget on the window). max_delay is the latency tax a
-/// lone request pays to give neighbors a chance to share its snapshot
-/// acquisition and grid-index locality.
+/// The most requests one batch takes off the queue.
 struct BatchPolicy {
   size_t max_batch = 64;
-  std::chrono::microseconds max_delay{1000};
 };
 
 /// Coalesces annotation requests into batches and hands each batch to the
@@ -31,6 +23,13 @@ struct BatchPolicy {
 /// batch out on the work-stealing pool). The queue itself is unbounded —
 /// the AdmissionController in front of Enqueue is what bounds it — so
 /// Enqueue never blocks.
+///
+/// Self-clocking: whenever the dispatcher is idle it takes every queued
+/// request (up to `max_batch`) as one batch, runs it, and repeats. There
+/// is no batch window — a lone request dispatches at once, and batches
+/// grow only from requests that queued while the previous batch ran, so
+/// coalescing tracks load instead of taxing every request a fixed wait.
+/// An idle dispatcher blocks on the condition variable; it never polls.
 ///
 /// Drain() delivers every queued request before the dispatcher exits:
 /// shutdown completes admitted work, it never drops it. A request that
@@ -59,10 +58,9 @@ class RequestBatcher {
   bool Enqueue(AnnotateRequest request);
 
   /// Suspends/resumes batch dispatch. While paused, requests queue up
-  /// (until admission control rejects); on resume they drain in order. A
-  /// batch window that was open when the pause landed is preserved:
-  /// already-queued requests resume waiting out their *original* window,
-  /// they are not taxed a fresh max_delay.
+  /// (until admission control rejects); on resume they dispatch in FIFO
+  /// order, at most `max_batch` per batch. A batch already executing
+  /// when the pause lands runs to completion.
   void SetPaused(bool paused);
 
   /// Stops dispatching new batches after the queue empties and joins the
@@ -74,10 +72,6 @@ class RequestBatcher {
  private:
   void DispatcherMain();
 
-  /// Earliest explicit deadline among queued requests (kNoDeadline when
-  /// none). Callers hold mutex_.
-  std::chrono::steady_clock::time_point EarliestQueuedDeadline() const;
-
   BatchPolicy policy_;
   ExecuteFn execute_;
 
@@ -86,13 +80,6 @@ class RequestBatcher {
   std::deque<AnnotateRequest> queue_;
   bool paused_ = false;
   bool draining_ = false;
-  /// The open batch window, preserved across pause/unpause. Guarded by
-  /// mutex_; only meaningful while window_open_.
-  bool window_open_ = false;
-  std::chrono::steady_clock::time_point window_deadline_{};
-  /// Queued requests carrying an explicit deadline; lets the dispatcher
-  /// skip the deadline scan entirely on the (common) deadline-free path.
-  size_t deadlined_in_queue_ = 0;
 
   std::thread dispatcher_;
 };

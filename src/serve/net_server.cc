@@ -182,8 +182,9 @@ class EventLoop {
 
   /// Wakes the loop and makes Run() exit; joinable afterwards.
   void RequestStop() {
+    std::lock_guard<std::mutex> lock(post_mutex_);
     stop_.store(true, std::memory_order_release);
-    Wake();
+    if (open_) Wake();
   }
 
   void Join() {
@@ -194,13 +195,10 @@ class EventLoop {
   /// from any thread; a post after the loop exited is dropped (the
   /// connection is gone with it).
   void Post(std::shared_ptr<Conn> conn, std::vector<uint8_t> bytes) {
-    {
-      std::lock_guard<std::mutex> lock(post_mutex_);
-      if (!open_) return;
-      posts_.push_back({std::move(conn), std::move(bytes)});
-      if (posts_.size() > 1) return;  // a wakeup is already pending
-    }
-    Wake();
+    std::lock_guard<std::mutex> lock(post_mutex_);
+    if (!open_) return;
+    posts_.push_back({std::move(conn), std::move(bytes)});
+    if (posts_.size() == 1) Wake();  // else a wakeup is already pending
   }
 
  private:
@@ -212,6 +210,9 @@ class EventLoop {
     std::vector<uint8_t> bytes;
   };
 
+  /// Callers hold post_mutex_ and have seen open_: ShutdownLoop flips
+  /// open_ under that mutex before it closes event_fd_, so a wake never
+  /// writes to a closed (or already reused) descriptor.
   void Wake() {
     uint64_t one = 1;
     [[maybe_unused]] ssize_t n = write(event_fd_, &one, sizeof(one));
@@ -724,12 +725,11 @@ void NetServer::TrackCompletion() {
 }
 
 void NetServer::CompletionDone() {
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    --outstanding_completions_;
-    if (outstanding_completions_ > 0) return;
-  }
-  completions_cv_.notify_all();
+  // Notify under the lock: once the count reads 0, Shutdown may return
+  // and the server be destroyed, so nothing may touch completions_cv_
+  // after the mutex is released.
+  std::lock_guard<std::mutex> lock(lifecycle_mutex_);
+  if (--outstanding_completions_ == 0) completions_cv_.notify_all();
 }
 
 }  // namespace csd::serve

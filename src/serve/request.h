@@ -40,15 +40,15 @@ struct AnnotateResult {
   std::vector<UnitId> units;
 };
 
-/// One queued annotation request. `enqueue_time` feeds the latency
-/// histogram; `deadline` is enforced by the batcher window and checked
-/// again at execution; the ticket releases the admission slot wherever
-/// the request's life ends. Completion goes through exactly one of two
-/// channels: `on_complete` when set (event-driven callers — the network
-/// server — that must not block a thread per request), else the promise
-/// (future-returning API). Either way the request *always* completes
-/// with an explicit verdict, fulfilled by the batch that executes it or
-/// by whoever rejects it.
+/// One queued annotation request. `enqueue_time` feeds the queue-wait
+/// and latency histograms; `deadline` is checked on arrival and again
+/// when the request's batch starts; the ticket releases the admission
+/// slot wherever the request's life ends. Completion goes through exactly
+/// one of two channels: `on_complete` when set (event-driven callers —
+/// the network server — that must not block a thread per request), else
+/// the promise (future-returning API). Either way the request *always*
+/// completes with an explicit verdict, fulfilled by the batch that
+/// executes it or by whoever rejects it.
 struct AnnotateRequest {
   std::vector<StayPoint> stays;
   std::chrono::steady_clock::time_point enqueue_time;

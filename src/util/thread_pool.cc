@@ -146,13 +146,19 @@ bool ThreadPool::TryGetTask(size_t own, Task* out) {
 
 bool ThreadPool::StealHalf(size_t own, size_t victim, Task* out) {
   WorkerQueue& vq = *queues_[victim];
+  const bool worker = own < num_workers();
   std::vector<Task> stolen;
   {
     std::lock_guard<std::mutex> lock(vq.mutex);
     size_t size = vq.tasks.size();
     if (size == 0) return false;
-    // Take the back half (rounded up), leaving the front for the owner.
-    size_t take = (size + 1) / 2;
+    // Take the back half (rounded up), leaving the front for the owner. A
+    // non-worker helper (a submitting thread) takes one task: it has no
+    // queue for a surplus, and it stops helping once its own loop is done.
+    // A surplus it held between two locks is invisible to the workers,
+    // which may park meanwhile with no signal to come — another loop's
+    // chunks then sit in a queue nobody runs, and that loop never ends.
+    size_t take = worker ? (size + 1) / 2 : 1;
     stolen.assign(vq.tasks.end() - static_cast<ptrdiff_t>(take),
                   vq.tasks.end());
     vq.tasks.erase(vq.tasks.end() - static_cast<ptrdiff_t>(take),
@@ -161,16 +167,10 @@ bool ThreadPool::StealHalf(size_t own, size_t victim, Task* out) {
   PoolStealsCounter().Increment();
   *out = stolen.front();
   if (stolen.size() > 1) {
-    if (own < num_workers()) {
-      WorkerQueue& oq = *queues_[own];
-      std::lock_guard<std::mutex> lock(oq.mutex);
-      oq.tasks.insert(oq.tasks.end(), stolen.begin() + 1, stolen.end());
-    } else {
-      // Non-worker helper (the submitting thread): it has no queue, so
-      // return the surplus to the victim's front rather than hoarding it.
-      std::lock_guard<std::mutex> lock(vq.mutex);
-      vq.tasks.insert(vq.tasks.begin(), stolen.begin() + 1, stolen.end());
-    }
+    // A worker drains its own queue before it parks, so the surplus runs.
+    WorkerQueue& oq = *queues_[own];
+    std::lock_guard<std::mutex> lock(oq.mutex);
+    oq.tasks.insert(oq.tasks.end(), stolen.begin() + 1, stolen.end());
   }
   return true;
 }

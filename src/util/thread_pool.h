@@ -108,7 +108,8 @@ class ThreadPool {
 
   void WorkerMain(size_t id);
   /// Pops from the caller's own queue front, else steals half of the
-  /// fullest visible victim's back. `own` is SIZE_MAX for non-workers.
+  /// fullest visible victim's back (one task for a non-worker). `own` is
+  /// SIZE_MAX for non-workers.
   bool TryGetTask(size_t own, Task* out);
   bool StealHalf(size_t own, size_t victim, Task* out);
   static void Execute(const Task& task);

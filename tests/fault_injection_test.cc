@@ -17,7 +17,9 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <latch>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -754,42 +756,28 @@ TEST_F(ServeFaultTest, DeadlineExpiringInQueueCompletesWithStatus) {
   EXPECT_TRUE(std::move(after).value().get().status.ok());
 }
 
-TEST_F(ServeFaultTest, BatchWindowNeverOutlivesTheEarliestDeadline) {
+TEST_F(ServeFaultTest, LoneRequestCompletesWellBeforeItsDeadline) {
   serve::SnapshotStore store(*snapshot_);
   serve::ServeOptions options;
   options.batch.max_batch = 64;
-  options.batch.max_delay = std::chrono::seconds(30);  // absurd window
   serve::ServeService service(&store, options);
 
-  // A lone request with a 100 ms budget: the window must collapse to the
-  // deadline instead of coalescing for 30 s. Completion (here: expiry,
-  // since nothing else closed the window first) arrives promptly.
+  // The batcher has no window: a lone request dispatches as soon as the
+  // idle dispatcher sees it instead of waiting for 63 companions, so a
+  // 100 ms budget is served OK with most of it to spare.
   Rng rng(53);
-  auto start = std::chrono::steady_clock::now();
-  auto future_or = service.AnnotateStayPoints(
-      MakeStays(rng, 1), start + std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::milliseconds(100);
+  auto future_or = service.AnnotateStayPoints(MakeStays(rng, 1), deadline);
   ASSERT_TRUE(future_or.ok()) << future_or.status().ToString();
   std::future<AnnotateResult> future = std::move(future_or).value();
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
-            std::future_status::ready)
-      << "the 30s batch window must not outlive a 100ms deadline";
-  EXPECT_EQ(future.get().status.code(), StatusCode::kDeadlineExceeded);
+  ASSERT_EQ(future.wait_until(deadline), std::future_status::ready)
+      << "a lone request waited out its deadline";
   EXPECT_LT(std::chrono::steady_clock::now() - start,
-            std::chrono::seconds(5));
-
-  // A deadline longer than the window is untouched by the clamp: the
-  // request rides the normal max_batch/max_delay close and succeeds.
-  serve::ServeOptions fast;
-  fast.batch.max_delay = std::chrono::milliseconds(1);
-  serve::SnapshotStore store2(*snapshot_);
-  serve::ServeService quick(&store2, fast);
-  auto roomy = quick.AnnotateStayPoints(
-      MakeStays(rng, 2),
-      std::chrono::steady_clock::now() + std::chrono::seconds(30));
-  ASSERT_TRUE(roomy.ok());
-  AnnotateResult result = std::move(roomy).value().get();
-  EXPECT_TRUE(result.status.ok());
-  EXPECT_EQ(result.units.size(), 2u);
+            std::chrono::milliseconds(50));
+  AnnotateResult result = future.get();
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.units.size(), 1u);
 }
 
 // --- Batcher shutdown / pause edge cases ---------------------------------
@@ -810,9 +798,11 @@ RequestBatcher::ExecuteFn FulfilAll() {
   };
 }
 
-AnnotateRequest MakeBatcherRequest() {
+/// `tag` rides in the stay's timestamp so a test can read back the order
+/// requests executed in.
+AnnotateRequest MakeBatcherRequest(Timestamp tag = 0) {
   AnnotateRequest request;
-  request.stays.emplace_back(Vec2{1.0, 2.0}, 0);
+  request.stays.emplace_back(Vec2{1.0, 2.0}, tag);
   request.enqueue_time = std::chrono::steady_clock::now();
   return request;
 }
@@ -843,7 +833,6 @@ TEST(RequestBatcherTest, EnqueueRacingDrainNeverStrandsARequest) {
   {
     serve::BatchPolicy policy;
     policy.max_batch = 4;
-    policy.max_delay = std::chrono::microseconds(200);
     RequestBatcher batcher(policy, FulfilAll());
     std::thread producer([&] {
       for (size_t i = 0; i < kRequests; ++i) {
@@ -870,33 +859,94 @@ TEST(RequestBatcherTest, EnqueueRacingDrainNeverStrandsARequest) {
   }
 }
 
-TEST(RequestBatcherTest, RePauseMidWindowPreservesTheOriginalWindow) {
+TEST(RequestBatcherTest, PausedRequestsDispatchFifoOnResumeInBoundedBatches) {
   serve::BatchPolicy policy;
-  policy.max_batch = 8;  // never closes by size in this test
-  policy.max_delay = std::chrono::milliseconds(1500);
-  RequestBatcher batcher(policy, FulfilAll());
+  policy.max_batch = 8;
+  std::vector<size_t> batch_sizes;
+  std::vector<Timestamp> executed;  // request tags in execution order
+  RequestBatcher batcher(
+      policy,
+      [&](std::vector<AnnotateRequest> batch) {
+        batch_sizes.push_back(batch.size());
+        for (const AnnotateRequest& request : batch) {
+          executed.push_back(request.stays.front().time);
+        }
+        FulfilAll()(std::move(batch));
+      },
+      /*paused=*/true);
 
-  // t=0: the request opens a 1500 ms window.
-  auto start = std::chrono::steady_clock::now();
-  AnnotateRequest request = MakeBatcherRequest();
-  std::future<AnnotateResult> future = request.promise.get_future();
-  ASSERT_TRUE(batcher.Enqueue(std::move(request)));
+  constexpr Timestamp kRequests = 20;
+  std::vector<std::future<AnnotateResult>> futures;
+  for (Timestamp tag = 0; tag < kRequests; ++tag) {
+    AnnotateRequest request = MakeBatcherRequest(tag);
+    futures.push_back(request.promise.get_future());
+    ASSERT_TRUE(batcher.Enqueue(std::move(request)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(batcher.Depth(), static_cast<size_t>(kRequests))
+      << "a paused batcher dispatched";
 
-  // Pause at ~100 ms, resume at ~800 ms: with the window preserved the
-  // batch still dispatches at ~1500 ms. The old bug restarted the window
-  // on resume, pushing dispatch to ~2300 ms.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  batcher.SetPaused(true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(700));
   batcher.SetPaused(false);
+  for (std::future<AnnotateResult>& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "a request queued while paused never dispatched on resume";
+    EXPECT_TRUE(future.get().status.ok());
+  }
+  batcher.Drain();  // joins the dispatcher: its writes are visible below
 
-  ASSERT_EQ(future.wait_for(std::chrono::milliseconds(1100)),
-            std::future_status::ready)
-      << "re-pause must not tax the request a fresh max_delay";
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(elapsed, std::chrono::milliseconds(1300))
-      << "batch dispatched before its window closed";
-  EXPECT_TRUE(future.get().status.ok());
+  std::vector<Timestamp> fifo(kRequests);
+  std::iota(fifo.begin(), fifo.end(), Timestamp{0});
+  EXPECT_EQ(executed, fifo);
+  // The whole backlog was queued when dispatch resumed, so the idle
+  // dispatcher takes max_batch at a time and the remainder last.
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{8, 8, 4}));
+}
+
+TEST(RequestBatcherTest, RequestsQueuedDuringABatchCoalesceIntoTheNext) {
+  serve::BatchPolicy policy;
+  policy.max_batch = 64;
+  std::vector<size_t> batch_sizes;
+  std::promise<void> first_started;
+  std::latch release(1);
+  RequestBatcher batcher(policy, [&](std::vector<AnnotateRequest> batch) {
+    batch_sizes.push_back(batch.size());
+    if (batch_sizes.size() == 1) {
+      first_started.set_value();
+      release.wait();  // hold the dispatcher while the backlog queues
+    }
+    FulfilAll()(std::move(batch));
+  });
+
+  // A lone request dispatches at once and parks the dispatcher.
+  std::vector<std::future<AnnotateResult>> futures;
+  AnnotateRequest lone = MakeBatcherRequest();
+  futures.push_back(lone.promise.get_future());
+  EXPECT_TRUE(batcher.Enqueue(std::move(lone)));
+  // No ASSERT until the latch opens: an early return would leave the
+  // dispatcher parked on it and hang the batcher's destructor.
+  if (first_started.get_future().wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    release.count_down();
+    FAIL() << "a lone request did not dispatch on its own";
+  }
+
+  constexpr size_t kBacklog = 100;
+  for (size_t i = 0; i < kBacklog; ++i) {
+    AnnotateRequest request = MakeBatcherRequest();
+    futures.push_back(request.promise.get_future());
+    EXPECT_TRUE(batcher.Enqueue(std::move(request)));
+  }
+  EXPECT_EQ(batcher.Depth(), kBacklog);
+
+  release.count_down();
+  for (std::future<AnnotateResult>& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready);
+    EXPECT_TRUE(future.get().status.ok());
+  }
+  batcher.Drain();  // joins the dispatcher: its writes are visible below
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{1, 64, 36}));
 }
 
 // --- Admission ticket accounting -----------------------------------------

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -202,6 +205,71 @@ TEST(ThreadPoolTest, ManySmallLoopsReuseThePool) {
         512, [&sum](size_t) { sum++; }, {.grain = 32, .max_threads = 4});
     ASSERT_EQ(sum.load(), 512);
   }
+}
+
+TEST(ThreadPoolTest, ConcurrentSubmittersNeverStrandAChunk) {
+  // Two threads submit at once, the way the request batcher and a rebuild
+  // lane do: a wide loop, and a narrow one whose submitter is done first
+  // and helps meanwhile by stealing the other loop's chunks. After both,
+  // nothing else signals the workers, so a chunk a helper took and left
+  // out of sight while the workers parked would never run, and its loop
+  // would never end. On a stall the test submits one more loop, which
+  // wakes the workers, so it fails instead of hanging.
+  ThreadPool pool(2);
+  auto spin = [](int us) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  constexpr int kIterations = 20000;
+  std::mutex mutex;
+  std::condition_variable cv;
+  int started = 0;              // iterations begun; guarded by mutex
+  int finished[2] = {0, 0};     // per submitter; guarded by mutex
+  bool stop = false;
+  auto submitter = [&](int id, size_t chunks, int chunk_us) {
+    for (int i = 0;; ++i) {
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return stop || started > i; });
+        if (stop) return;
+      }
+      if (id == 1) spin(i % 40);  // vary which loop is queued first
+      pool.ParallelRange(chunks, 1, 3,
+                         [&](size_t, size_t) { spin(chunk_us); });
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        finished[id] = i + 1;
+      }
+      cv.notify_all();
+    }
+  };
+  std::thread wide(submitter, 0, 4, 2);
+  std::thread narrow(submitter, 1, 2, 1);
+
+  int stranded_at = -1;
+  for (int i = 0; i < kIterations && stranded_at < 0; ++i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    started = i + 1;
+    cv.notify_all();
+    auto both_done = [&] { return finished[0] > i && finished[1] > i; };
+    if (!cv.wait_for(lock, std::chrono::seconds(2), both_done)) {
+      stranded_at = i;
+      lock.unlock();
+      pool.ParallelRange(1, 1, 3, [](size_t, size_t) {});
+      lock.lock();
+      cv.wait(lock, both_done);
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    stop = true;
+  }
+  cv.notify_all();
+  wide.join();
+  narrow.join();
+  EXPECT_EQ(stranded_at, -1) << "a chunk of a concurrent loop was stranded";
 }
 
 // --- determinism -------------------------------------------------------------

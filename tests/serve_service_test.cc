@@ -1,15 +1,18 @@
 // End-to-end behavior of ServeService's four endpoints plus the csdctl
 // wire protocol: preconditions on an unpublished store, rebuilds that
 // publish new generations visible to later requests, pattern queries that
-// pin their snapshot, and the request grammar's parse/format round trips.
+// pin their snapshot, the queue-wait timer, and the request grammar's
+// parse/format round trips.
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "tests/serve_test_helpers.h"
@@ -122,6 +125,43 @@ TEST_F(ServeServiceTest, QueryPinsItsSnapshotAcrossAPublish) {
   auto fresh = service.AnnotateStayPoints({StayPoint(Vec2{100.0, 100.0}, 0)});
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(std::move(fresh).value().get().snapshot_version, 2u);
+}
+
+TEST_F(ServeServiceTest, QueueWaitIsTimedOncePerServedRequest) {
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  SnapshotStore store(*snapshot_);
+  ServeService service(&store);
+  auto serve = [&](size_t requests) {
+    std::vector<std::future<AnnotateResult>> futures;
+    for (size_t i = 0; i < requests; ++i) {
+      auto future = service.AnnotateStayPoints(
+          {StayPoint(Vec2{100.0 + 50.0 * static_cast<double>(i), 100.0}, 0)});
+      ASSERT_TRUE(future.ok()) << future.status().ToString();
+      futures.push_back(std::move(future).value());
+    }
+    for (std::future<AnnotateResult>& future : futures) {
+      EXPECT_TRUE(future.get().status.ok());
+    }
+  };
+  serve(1);  // registers the serve timers
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  const obs::Histogram& wait =
+      registry.GetHistogram("csd_serve_queue_wait_seconds", "", {});
+  const obs::Histogram& latency =
+      registry.GetHistogram("csd_serve_annotate_latency_seconds", "", {});
+  EXPECT_EQ(wait.bounds(), latency.bounds());
+  const uint64_t waits_before = wait.Count();
+  const uint64_t latencies_before = latency.Count();
+
+  constexpr size_t kRequests = 40;
+  serve(kRequests);
+  EXPECT_EQ(wait.Count() - waits_before, kRequests);
+  EXPECT_EQ(latency.Count() - latencies_before, kRequests);
+
+  service.Shutdown();
+  obs::SetEnabled(obs_was_enabled);
 }
 
 TEST(ServeProtocolTest, ParsesEveryVerb) {

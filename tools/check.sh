@@ -23,11 +23,20 @@
 #      times, so this gate uses a 0.5 threshold: it catches a
 #      serving-path collapse (2x latency, halved throughput, a
 #      shard_build_speedup slide), not jitter.
+#   5. run every perfbench workload for 20 s (perfbench/README.md). No
+#      metric is gated; run.py exits 1 when an output check fails (an
+#      annotation that disagrees with the scalar oracle, a failed or shed
+#      request, an unseen REBUILD, a mine CSV that differs from the
+#      in-process miner), so a wrong answer that shows only under the
+#      benchmark's load is caught here.
 #
-# The tsan preset pass re-runs the serve_* tests a second time with
-# CSD_SERVE_STRESS=1, which multiplies the reader/publisher iteration
-# counts in the snapshot lifecycle test — the cheap run guards every
-# commit, the stress run is the one that actually hunts races.
+# The tsan preset pass re-runs the serve tests (the suites of the
+# serve_*_test binaries, plus the batcher and serve fault suites) a
+# second time with CSD_SERVE_STRESS=1, which multiplies the
+# reader/publisher iteration counts in the snapshot lifecycle test — the
+# cheap run guards every commit, the stress run is the one that actually
+# hunts races. ctest names tests by gtest suite, not by binary, so the
+# filter lists suites, and --no-tests=error fails it if it matches none.
 #
 # Every step's exit code is captured explicitly: a failing ctest (or
 # build, or bench gate) marks the run failed but later steps still run,
@@ -60,7 +69,7 @@ fail() {
 }
 
 step=0
-total=$(( ${#PRESETS[@]} + 2 ))
+total=$(( ${#PRESETS[@]} + 3 ))
 for preset in "${PRESETS[@]}"; do
   step=$((step + 1))
   echo "== [${step}/${total}] sanitizer build + ctest (${preset}) =="
@@ -73,7 +82,8 @@ for preset in "${PRESETS[@]}"; do
   fi
   if [ "${preset}" = "tsan" ]; then
     echo "== serve stress pass (tsan, CSD_SERVE_STRESS=1) =="
-    if ! CSD_SERVE_STRESS=1 ctest --preset tsan -R 'serve_' -j; then
+    if ! CSD_SERVE_STRESS=1 ctest --preset tsan -j --no-tests=error \
+         -R '^(CsdSnapshotTest|SnapshotStoreTest|ServeAdmissionTest|ServeServiceTest|ServeProtocolTest|ServeFaultTest|RequestBatcherTest)\.'; then
       fail "serve stress ctest (tsan)"
     fi
   fi
@@ -135,6 +145,14 @@ if cmake --build --preset default -j --target serve_load bench_diff; then
   fi
 else
   fail "build serve_load"
+fi
+
+step=$((step + 1))
+echo "== [${step}/${total}] perfbench output checks (every workload, 20 s) =="
+# 14 s is the floor for a serve-annotate p99 window; 20 s leaves margin.
+# run.py builds its own tree (.bench_build/) from this checkout.
+if ! python3 perfbench/run.py --workload all --seconds 20 --trace 0; then
+  fail "perfbench run (a wrong or failed output exits 1)"
 fi
 
 if [ "${FAILURES}" -gt 0 ]; then

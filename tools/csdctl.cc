@@ -13,7 +13,7 @@
 //   csdctl analyze   --patterns patterns.csv
 //   csdctl serve     --pois pois.csv --trips trips.bin
 //                    [--listen HOST:PORT] [--loops 1] [--shards K]
-//                    [--max-batch 64] [--max-delay-us 1000]
+//                    [--max-batch 64]
 //                    [--annotate-limit 1024] [--query-limit 256]
 //                    [--sigma 50] [--delta-t-min 60] [--rho 0.002]
 //                    [--closed 0|1] [--patterns 0|1] [--retries 4]
@@ -40,6 +40,9 @@
 // With --listen HOST:PORT it instead serves the length-prefixed binary
 // framing of src/serve/frame.h on an epoll event loop (SIGINT/SIGTERM
 // drains and exits); the stdin protocol is untouched as the fallback.
+// Either way annotations are batched without a batch window: an idle
+// dispatcher runs whatever has queued, at most --max-batch requests, so
+// a lone request dispatches at once and batches grow only under load.
 //
 // With --shards K the snapshot is built tile-by-tile over a K-shard
 // spatial plan (byte-identical to the monolithic build) and served
@@ -236,8 +239,8 @@ const std::vector<CommandSpec>& Commands() {
         {"shards", "serve through K spatial shard lanes (tiled build, "
                    "geo-routed annotation, per-shard rebuild; "
                    "default 0 = monolithic)"},
-        {"max-batch", "max coalesced requests per batch (default 64)"},
-        {"max-delay-us", "batch window in microseconds (default 1000)"},
+        {"max-batch", "max requests per batch; a batch takes whatever "
+                      "queued while the last one ran (default 64)"},
         {"annotate-limit", "max in-flight annotations (default 1024)"},
         {"query-limit", "max in-flight pattern queries (default 256)"},
         {"sigma", "support threshold for mined patterns (default 50)"},
@@ -637,8 +640,6 @@ int CmdServe(const Args& args) {
   serve::ServeOptions options;
   options.batch.max_batch =
       static_cast<size_t>(args.GetInt("max-batch", 64));
-  options.batch.max_delay =
-      std::chrono::microseconds(args.GetInt("max-delay-us", 1000));
   options.limits.annotate =
       static_cast<size_t>(args.GetInt("annotate-limit", 1024));
   options.limits.query =
