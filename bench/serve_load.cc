@@ -4,7 +4,7 @@
 //   serve_load --qps 2000 [--duration-s 5]             open loop
 //   serve_load --net [--connections 8] [--inflight 32] net loopback only
 //   serve_load --connect HOST:PORT                     net vs external server
-//   serve_load --emit-requests 1000                    print protocol lines
+//   serve_load --connect HOST:PORT --mix 1000          CI's request mix
 //   serve_load --shards 4 [--megacity]                 sharded build + serve
 //   serve_load --help                                  full flag reference
 //
@@ -35,13 +35,14 @@
 // throughput as a higher-is-better "rates" entry, so tools/bench_diff
 // gates both directions.
 //
-// --emit-requests N prints N deterministic protocol request lines (mixed
-// annotate/journey/query-unit/stats with one mid-stream rebuild) to stdout
-// and exits; CI pipes them into `csdctl serve` for the end-to-end smoke.
+// --connect HOST:PORT --mix N sends N deterministic requests (mixed
+// annotate/journey/query-unit/stats with one mid-stream rebuild) over one
+// connection and prints one `ok`/`err` line per response in request
+// order — CI's end-to-end smoke of `csdctl serve`.
 //
 // --shards K runs the sharded phase instead: the city's CSD snapshot is
 // built once monolithically and once through shard::ShardedCsdBuild over a
-// K-tile plan (byte-identical result), served from a ShardedSnapshotStore
+// K-tile plan (byte-identical result), served from a K-lane SnapshotStore
 // with geo-routed annotation, and one single-tile rebuild is timed — the
 // rate shard_build_speedup = monolithic_build / shard_rebuild is the
 // turnaround win of rebuilding one tile instead of the whole city, and
@@ -75,6 +76,7 @@
 #include "shard/sharded_build.h"
 #include "serve/net_client.h"
 #include "serve/net_server.h"
+#include "serve/protocol.h"
 #include "serve/retry.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -94,7 +96,7 @@ struct LoadConfig {
   size_t requests = 500;   // per client (closed loop)
   double qps = 0.0;        // > 0 switches to open loop
   double duration_s = 5.0; // open-loop run length
-  size_t emit_requests = 0;
+  size_t mix = 0;            // with --connect: the request mix
   std::string json_path;
   // Net modes (framed binary protocol over TCP).
   bool net = false;            // loopback net phase only
@@ -102,7 +104,7 @@ struct LoadConfig {
   size_t connections = 8;      // client connections
   size_t inflight = 32;        // pipelined frames per connection
   size_t net_requests = 20000; // per connection (net closed loop)
-  // Sharded phase (ShardedSnapshotStore + geo-routed annotation).
+  // Sharded phase (K-lane SnapshotStore + geo-routed annotation).
   size_t shards = 0;           // > 0 switches to the sharded phase
   bool megacity = false;       // use synth::MegacityConfig() for it
   // Streaming phase (fix-by-fix ingest + incremental publication).
@@ -148,7 +150,10 @@ constexpr char kUsage[] =
     "                     Per-phase rates land in the trajectory under the\n"
     "                     'scenario:NAME' run label\n"
     "  --list-scenarios   print the registered packs and exit\n"
-    "  --emit-requests N  print N protocol lines for csdctl serve; exit\n"
+    "  --mix N            with --connect: send N requests of the mixed\n"
+    "                     annotate/journey/query/stats stream (one\n"
+    "                     mid-stream rebuild), print one ok/err line per\n"
+    "                     response in request order (CI's serve smoke)\n"
     "  --json PATH        trajectory output path\n"
     "  --help             this text\n"
     "\n"
@@ -168,38 +173,84 @@ std::vector<StayPoint> MakeRequest(Rng& rng, const CityConfig& city) {
   return stays;
 }
 
-int EmitRequests(size_t count, const CityConfig& city) {
-  Rng rng(99);
-  for (size_t i = 0; i < count; ++i) {
-    if (i == count / 2) std::printf("rebuild\n");
-    if (i % 64 == 63) {
-      std::printf("stats\n");
-      continue;
-    }
-    if (i % 17 == 5) {
-      std::printf("query-unit %lld\n",
-                  static_cast<long long>(rng.UniformInt(0, 400)));
-      continue;
-    }
-    if (i % 11 == 3) {
-      std::printf("journey %.1f,%.1f,%lld;%.1f,%.1f,%lld\n",
-                  rng.Uniform(0.0, city.width_m),
-                  rng.Uniform(0.0, city.height_m),
-                  static_cast<long long>(rng.UniformInt(0, 86399)),
-                  rng.Uniform(0.0, city.width_m),
-                  rng.Uniform(0.0, city.height_m),
-                  static_cast<long long>(rng.UniformInt(0, 86399)));
-      continue;
-    }
-    std::vector<StayPoint> stays = MakeRequest(rng, city);
-    std::printf("annotate ");
-    for (size_t s = 0; s < stays.size(); ++s) {
-      std::printf("%s%.1f,%.1f", s == 0 ? "" : ";", stays[s].position.x,
-                  stays[s].position.y);
-    }
-    std::printf("\n");
+/// The deterministic request mix of CI's serve smoke, framed (--connect
+/// + --mix N): N requests — annotate, journey, query-unit and stats, plus
+/// one REBUILD before request N/2 — sent over one connection with at
+/// most 64 in flight. Prints one `ok ...` or `err <Code>: ...` line per
+/// response, in request order. Exits 0 once every response has arrived:
+/// the lines carry the verdict, and an `err` line is an answer, not a
+/// transport failure.
+int RunMix(const std::string& host, uint16_t port, size_t count,
+           const CityConfig& city) {
+  auto client_or = serve::NetClient::Connect(host, port);
+  if (!client_or.ok()) {
+    std::fprintf(stderr, "connect: %s\n",
+                 client_or.status().ToString().c_str());
+    return 1;
   }
-  std::printf("quit\n");
+  serve::NetClient& client = *client_or.value();
+
+  std::vector<std::vector<uint8_t>> frames;
+  Rng rng(99);
+  auto point = [&] {
+    double x = rng.Uniform(0.0, city.width_m);
+    double y = rng.Uniform(0.0, city.height_m);
+    Timestamp t = static_cast<Timestamp>(rng.UniformInt(0, 86399));
+    return StayPoint(Vec2{x, y}, t);
+  };
+  for (size_t i = 0; i < count; ++i) {
+    if (i == count / 2) {
+      frames.emplace_back();
+      serve::AppendRebuildRequest(static_cast<uint32_t>(frames.size() - 1),
+                                  &frames.back());
+    }
+    const uint32_t id = static_cast<uint32_t>(frames.size());
+    frames.emplace_back();
+    if (i % 64 == 63) {
+      serve::AppendStatsRequest(id, &frames.back());
+    } else if (i % 17 == 5) {
+      serve::AppendQueryUnitRequest(
+          id, static_cast<uint32_t>(rng.UniformInt(0, 400)), &frames.back());
+    } else if (i % 11 == 3) {
+      StayPoint pickup = point();
+      StayPoint dropoff = point();
+      serve::AppendJourneyRequest(id, 0, pickup, dropoff, &frames.back());
+    } else {
+      serve::AppendAnnotateRequest(id, 0, MakeRequest(rng, city),
+                                   &frames.back());
+    }
+  }
+
+  constexpr size_t kWindow = 64;
+  std::vector<std::string> lines(frames.size());
+  size_t sent = 0;
+  for (size_t received = 0; received < frames.size(); ++received) {
+    std::vector<uint8_t> burst;
+    for (; sent < frames.size() && sent < received + kWindow; ++sent) {
+      burst.insert(burst.end(), frames[sent].begin(), frames[sent].end());
+    }
+    if (!burst.empty()) {
+      if (Status st = client.Send(burst); !st.ok()) {
+        std::fprintf(stderr, "send: %s\n", st.ToString().c_str());
+        return 1;
+      }
+    }
+    auto response_or = client.ReadResponse();
+    if (!response_or.ok()) {
+      std::fprintf(stderr, "read: %s\n",
+                   response_or.status().ToString().c_str());
+      return 1;
+    }
+    const serve::NetResponse& response = response_or.value();
+    if (response.request_id >= lines.size() ||
+        !lines[response.request_id].empty()) {
+      std::fprintf(stderr, "unexpected response id %u\n",
+                   response.request_id);
+      return 1;
+    }
+    lines[response.request_id] = serve::FormatResponseLine(response);
+  }
+  for (const std::string& line : lines) std::printf("%s\n", line.c_str());
   return 0;
 }
 
@@ -608,7 +659,7 @@ double Percentile(std::vector<double>& sorted, double p) {
 
 /// The sharded phase (--shards K): monolithic snapshot build vs the tiled
 /// shard::ShardedCsdBuild of the same city, a geo-routed closed-loop
-/// annotation run against a ShardedSnapshotStore, and one single-tile
+/// annotation run against a K-lane SnapshotStore, and one single-tile
 /// rebuild. The headline rate, shard_build_speedup =
 /// monolithic_build / shard_rebuild, is the rebuild-turnaround win of
 /// refreshing one tile instead of the whole city — it holds on one core,
@@ -678,7 +729,7 @@ void RunShardedPhase(const LoadConfig& config,
     *total_failures += 1;
   }
 
-  serve::ShardedSnapshotStore store(config.shards);
+  serve::SnapshotStore store(config.shards);
   store.PublishAll(sharded);
 
   serve::ServeOptions options;
@@ -808,7 +859,7 @@ void RunStreamPhase(const LoadConfig& config,
                                              snapshot_options.miner.csd);
   auto bootstrap_snapshot =
       std::make_shared<serve::CsdSnapshot>(dataset, snapshot_options, plan);
-  serve::ShardedSnapshotStore store(plan.num_shards());
+  serve::SnapshotStore store(plan.num_shards());
   store.PublishAll(bootstrap_snapshot);
   serve::ServeOptions options;
   options.snapshot = snapshot_options;
@@ -1352,7 +1403,7 @@ int RunScenario(const LoadConfig& config) {
         dataset->pois, pack.serve_shards, snapshot_options.miner.csd);
     auto snapshot =
         std::make_shared<serve::CsdSnapshot>(dataset, snapshot_options, plan);
-    serve::ShardedSnapshotStore store(plan.num_shards());
+    serve::SnapshotStore store(plan.num_shards());
     store.PublishAll(snapshot);
     serve::ServeOptions options;
     options.snapshot = snapshot_options;
@@ -1456,8 +1507,8 @@ int Main(int argc, char** argv) {
       config.qps = std::atof(v);
     } else if (const char* v = value("--duration-s")) {
       config.duration_s = std::atof(v);
-    } else if (const char* v = value("--emit-requests")) {
-      config.emit_requests = static_cast<size_t>(std::atoll(v));
+    } else if (const char* v = value("--mix")) {
+      config.mix = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--json")) {
       config.json_path = v;
     } else if (std::strcmp(argv[i], "--net") == 0) {
@@ -1506,8 +1557,9 @@ int Main(int argc, char** argv) {
   CityConfig city_config;
   city_config.num_pois = EnvSize("CSD_BENCH_POIS", 15000);
 
-  if (config.emit_requests > 0) {
-    return EmitRequests(config.emit_requests, city_config);
+  if (config.mix > 0 && config.connect.empty()) {
+    std::fprintf(stderr, "--mix sends its requests to --connect HOST:PORT\n");
+    return 2;
   }
 
   // --connect drives a server someone else started (CI's serve-smoke
@@ -1525,6 +1577,7 @@ int Main(int argc, char** argv) {
     if (config.ingest_fixes > 0) {
       return RunNetIngest(host, port, config);
     }
+    if (config.mix > 0) return RunMix(host, port, config.mix, city_config);
     std::printf("== serve_load (net, %s) ==\n", config.connect.c_str());
     LoadOutcome outcome =
         config.qps > 0.0

@@ -2,150 +2,10 @@
 
 #include <cinttypes>
 #include <string>
-#include <utility>
 
-#include "util/failpoint.h"
 #include "util/strings.h"
 
 namespace csd::serve {
-
-namespace {
-
-/// "X,Y" -> Vec2; "X,Y,T" with allow_time also fills `time`.
-Result<StayPoint> ParsePoint(std::string_view field, bool with_time) {
-  std::vector<std::string> parts = SplitString(field, ',');
-  size_t want = with_time ? 3 : 2;
-  if (parts.size() != want) {
-    return Status::ParseError("bad point '" + std::string(field) +
-                              "' (want " + (with_time ? "X,Y,T" : "X,Y") +
-                              ")");
-  }
-  Result<double> x = ParseDouble(parts[0]);
-  if (!x.ok()) return x.status();
-  Result<double> y = ParseDouble(parts[1]);
-  if (!y.ok()) return y.status();
-  StayPoint stay({x.value(), y.value()}, 0);
-  if (with_time) {
-    Result<int64_t> t = ParseInt64(parts[2]);
-    if (!t.ok()) return t.status();
-    stay.time = t.value();
-  }
-  return stay;
-}
-
-/// Strips an optional trailing " @MS" deadline token off `body` and
-/// parses it into `budget`. Point fields never contain '@', so a bare
-/// trailing @-token is unambiguous.
-Result<std::string_view> StripDeadlineToken(std::string_view body,
-                                            std::chrono::milliseconds* budget) {
-  size_t space = body.find_last_of(" \t");
-  std::string_view tail =
-      space == std::string_view::npos ? body : body.substr(space + 1);
-  if (tail.empty() || tail.front() != '@') return body;
-  Result<int64_t> ms = ParseInt64(tail.substr(1));
-  if (!ms.ok() || ms.value() <= 0) {
-    return Status::ParseError("bad deadline token '" + std::string(tail) +
-                              "' (want @MS with MS > 0)");
-  }
-  *budget = std::chrono::milliseconds(ms.value());
-  if (space == std::string_view::npos) return std::string_view();
-  return TrimString(body.substr(0, space));
-}
-
-}  // namespace
-
-Result<ProtocolRequest> ParseRequestLine(std::string_view line) {
-  CSD_FAILPOINT("serve/parse");
-  std::string_view trimmed = TrimString(line);
-  if (trimmed.empty()) return Status::ParseError("empty request line");
-
-  size_t space = trimmed.find(' ');
-  std::string_view verb = trimmed.substr(0, space);
-  std::string_view body =
-      space == std::string_view::npos
-          ? std::string_view()
-          : TrimString(trimmed.substr(space + 1));
-
-  ProtocolRequest request;
-  if (verb == "annotate") {
-    request.kind = RequestKind::kAnnotate;
-    Result<std::string_view> stripped =
-        StripDeadlineToken(body, &request.deadline_budget);
-    if (!stripped.ok()) return stripped.status();
-    body = stripped.value();
-    if (body.empty()) {
-      return Status::ParseError("annotate needs at least one X,Y point");
-    }
-    for (const std::string& field : SplitString(body, ';')) {
-      Result<StayPoint> stay = ParsePoint(field, /*with_time=*/false);
-      if (!stay.ok()) return stay.status();
-      request.stays.push_back(stay.value());
-    }
-    return request;
-  }
-  if (verb == "journey") {
-    request.kind = RequestKind::kJourney;
-    Result<std::string_view> stripped =
-        StripDeadlineToken(body, &request.deadline_budget);
-    if (!stripped.ok()) return stripped.status();
-    body = stripped.value();
-    std::vector<std::string> legs = SplitString(body, ';');
-    if (legs.size() != 2) {
-      return Status::ParseError(
-          "journey needs exactly PX,PY,PT;DX,DY,DT, got '" +
-          std::string(body) + "'");
-    }
-    Result<StayPoint> pickup = ParsePoint(legs[0], /*with_time=*/true);
-    if (!pickup.ok()) return pickup.status();
-    Result<StayPoint> dropoff = ParsePoint(legs[1], /*with_time=*/true);
-    if (!dropoff.ok()) return dropoff.status();
-    request.journey.pickup = {pickup.value().position, pickup.value().time};
-    request.journey.dropoff = {dropoff.value().position,
-                               dropoff.value().time};
-    return request;
-  }
-  if (verb == "query-unit") {
-    request.kind = RequestKind::kQueryUnit;
-    Result<int64_t> id = ParseInt64(body);
-    if (!id.ok() || id.value() < 0) {
-      return Status::ParseError("query-unit needs a non-negative unit id, "
-                                "got '" + std::string(body) + "'");
-    }
-    request.unit = static_cast<UnitId>(id.value());
-    return request;
-  }
-  if (verb == "rebuild" || verb == "stats" || verb == "quit") {
-    if (!body.empty()) {
-      return Status::ParseError("'" + std::string(verb) +
-                                "' takes no arguments");
-    }
-    request.kind = verb == "rebuild" ? RequestKind::kRebuild
-                   : verb == "stats" ? RequestKind::kStats
-                                     : RequestKind::kQuit;
-    return request;
-  }
-  return Status::ParseError("unknown request verb '" + std::string(verb) +
-                            "'");
-}
-
-std::string FormatAnnotateResponse(const AnnotateResult& result) {
-  std::string out = StrFormat("ok annotate v=%" PRIu64 " n=%zu units=",
-                              result.snapshot_version, result.stays.size());
-  for (size_t i = 0; i < result.units.size(); ++i) {
-    if (i > 0) out += ',';
-    if (result.units[i] == kNoUnit) {
-      out += '-';
-    } else {
-      out += std::to_string(result.units[i]);
-    }
-  }
-  out += " sem=";
-  for (size_t i = 0; i < result.stays.size(); ++i) {
-    if (i > 0) out += ',';
-    out += StrFormat("0x%x", result.stays[i].semantic.bits());
-  }
-  return out;
-}
 
 std::string FormatQueryResponse(const PatternQueryResult& result) {
   std::string out =
@@ -179,8 +39,32 @@ std::string FormatStatsResponse(const ServeService& service) {
   return out;
 }
 
-std::string FormatErrorResponse(const Status& status) {
-  return "err " + status.ToString();
+std::string FormatResponseLine(const NetResponse& response) {
+  switch (response.type) {
+    case FrameType::kAnnotateResp: {
+      std::string out =
+          StrFormat("ok annotate v=%" PRIu64 " n=%zu units=",
+                    response.snapshot_version, response.units.size());
+      for (size_t i = 0; i < response.units.size(); ++i) {
+        if (i > 0) out += ',';
+        if (response.units[i] == kNoUnit) {
+          out += '-';
+        } else {
+          out += std::to_string(response.units[i]);
+        }
+      }
+      out += " sem=";
+      for (size_t i = 0; i < response.semantic_bits.size(); ++i) {
+        if (i > 0) out += ',';
+        out += StrFormat("0x%x", response.semantic_bits[i]);
+      }
+      return out;
+    }
+    case FrameType::kTextResp:
+      return response.text;
+    default:
+      return "err " + Status(response.code, response.message).ToString();
+  }
 }
 
 }  // namespace csd::serve

@@ -1,64 +1,30 @@
 #ifndef CSD_SERVE_PROTOCOL_H_
 #define CSD_SERVE_PROTOCOL_H_
 
-#include <chrono>
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "serve/frame.h"
 #include "serve/request.h"
 #include "serve/service.h"
-#include "traj/journey.h"
-#include "util/status.h"
 
 namespace csd::serve {
 
-/// The newline-delimited request grammar spoken by `csdctl serve` (one
-/// request per line on stdin, one response per line on stdout):
+/// The text forms of the framed protocol (serve/frame.h): the bodies of
+/// the kTextResp frames the server answers query/rebuild/stats requests
+/// with, and the one-line rendering of any response frame a client
+/// prints (`serve_load --connect --mix`).
 ///
-///   annotate X,Y[;X,Y]... [@MS]  batched stay-point annotation
-///   journey PX,PY,PT;DX,DY,DT [@MS]  pick-up + drop-off as one request
-///   query-unit ID                fine-grained patterns anchored at unit ID
-///   rebuild                      background rebuild + publish
-///   stats                        one-line server counters
-///   quit                         graceful drain and exit
-///
-/// A trailing `@MS` token gives the request a deadline budget of MS
-/// milliseconds from parse time; a request that cannot complete inside
-/// its budget answers `err DeadlineExceeded: ...` instead of executing.
-///
-/// Responses are `ok <verb> key=value...` or `err <Code>: <message>`.
-enum class RequestKind {
-  kAnnotate,
-  kJourney,
-  kQueryUnit,
-  kRebuild,
-  kStats,
-  kQuit,
-};
-
-/// One parsed request line.
-struct ProtocolRequest {
-  RequestKind kind = RequestKind::kStats;
-  std::vector<StayPoint> stays;  // kAnnotate
-  TaxiJourney journey;           // kJourney
-  UnitId unit = kNoUnit;         // kQueryUnit
-  /// Deadline budget from the `@MS` token; zero means no deadline.
-  std::chrono::milliseconds deadline_budget{0};
-};
-
-/// Parses one request line (surrounding whitespace ignored). ParseError
-/// names the offending token; blank lines are ParseError too — the caller
-/// skips them before parsing.
-Result<ProtocolRequest> ParseRequestLine(std::string_view line);
-
-/// Response formatters. Units are `-` for kNoUnit; semantics are the
-/// property bitmask in hex (machine-parsable and compact).
-std::string FormatAnnotateResponse(const AnnotateResult& result);
+/// Every line is `ok <verb> key=value...` or `err <Code>: <message>`.
+/// Units are `-` for kNoUnit; semantics are the property bitmask in hex
+/// (machine-parsable and compact).
 std::string FormatQueryResponse(const PatternQueryResult& result);
 std::string FormatRebuildResponse(const RebuildResult& result);
 std::string FormatStatsResponse(const ServeService& service);
-std::string FormatErrorResponse(const Status& status);
+
+/// `ok annotate v=V n=N units=U,... sem=0xS,...` for an annotate
+/// response, the text itself for a text response, `err <Code>: <message>`
+/// for an error response.
+std::string FormatResponseLine(const NetResponse& response);
 
 }  // namespace csd::serve
 

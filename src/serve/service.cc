@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/check.h"
 #include "util/failpoint.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
@@ -48,9 +49,11 @@ obs::Histogram& BatchSizeHistogram() {
 }
 
 /// Buckets (seconds) of the annotate-path timers, so their rows line up.
+/// They start at 5 us: an idle dispatcher picks a lone request up within
+/// microseconds, so light-load waits need the sub-0.1 ms rows.
 std::vector<double> AnnotateTimerBuckets() {
-  return {1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,
-          0.25, 0.5, 1.0};
+  return {5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3,
+          5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,  1.0};
 }
 
 obs::Histogram& AnnotateLatencyHistogram() {
@@ -91,6 +94,12 @@ obs::Counter& RebuildFailuresCounter() {
   return counter;
 }
 
+/// The routing plan of a K = 1 service: one tile, so every position maps
+/// to lane 0 (ShardOf of a one-tile plan is 0 whatever its bounds).
+shard::ShardPlan SingleLanePlan() {
+  return shard::ShardPlan(BoundingBox{{0.0, 0.0}, {0.0, 0.0}}, 1, 1, 0.0);
+}
+
 /// Completes a request without executing it: the stays come back
 /// unannotated with `status` saying why (CompleteRequest frees the
 /// admission slot before delivering, future and callback channels alike).
@@ -105,27 +114,20 @@ void FailRequest(AnnotateRequest& request, Status status) {
 }  // namespace
 
 ServeService::ServeService(SnapshotStore* store, ServeOptions options)
-    : store_(store), options_(options), admission_(options.limits) {
-  StartRebuildLanes(1);
-  batcher_ = std::make_unique<RequestBatcher>(
-      options_.batch,
-      [this](std::vector<AnnotateRequest> batch) {
-        ExecuteBatch(std::move(batch));
-      },
-      options_.start_paused);
-}
+    : ServeService(store, SingleLanePlan(), options) {}
 
-ServeService::ServeService(ShardedSnapshotStore* store, shard::ShardPlan plan,
+ServeService::ServeService(SnapshotStore* store, shard::ShardPlan plan,
                            ServeOptions options)
-    : store_(&store->global()),
-      sharded_store_(store),
-      plan_(std::make_unique<shard::ShardPlan>(std::move(plan))),
+    : store_(store),
+      plan_(std::move(plan)),
       options_(options),
       admission_(options.limits) {
-  // One global lane + one rebuild lane per shard: a tile rebuild on lane
-  // 1+s can run while another shard's lane (and the batch pool) keep
-  // serving.
-  StartRebuildLanes(1 + plan_->num_shards());
+  CSD_CHECK_MSG(store_->num_shards() == plan_.num_shards(),
+                "snapshot store lanes must match the shard plan");
+  // One full-rebuild lane, plus one rebuild lane per shard at K > 1: a
+  // tile rebuild on lane 1+s can run while another shard's lane (and the
+  // batch pool) keep serving.
+  StartRebuildLanes(plan_.num_shards() == 1 ? 1 : 1 + plan_.num_shards());
   batcher_ = std::make_unique<RequestBatcher>(
       options_.batch,
       [this](std::vector<AnnotateRequest> batch) {
@@ -270,12 +272,9 @@ Result<std::future<RebuildResult>> ServeService::TriggerRebuild(
 
 Result<std::future<RebuildResult>> ServeService::TriggerShardRebuild(
     size_t shard, std::shared_ptr<const ServeDataset> data) {
-  if (sharded_store_ == nullptr) {
-    return Status::FailedPrecondition(
-        "shard rebuilds need a service over a ShardedSnapshotStore");
-  }
-  if (shard >= plan_->num_shards()) {
-    return Status::InvalidArgument("shard index out of range");
+  // Lanes 1..K are the tile lanes; a K = 1 service has none.
+  if (shard >= rebuild_lanes_.size() - 1) {
+    return Status::InvalidArgument("no tile rebuild lane for this shard");
   }
   RebuildJob job;
   job.shard = static_cast<int64_t>(shard);
@@ -357,16 +356,18 @@ void ServeService::ExecuteBatch(std::vector<AnnotateRequest> batch) {
     }
   }
 
-  if (sharded_store_ != nullptr) {
-    ExecuteBatchSharded(std::move(batch));
-    return;
-  }
-
-  // One snapshot acquisition amortized over the whole batch; every request
-  // in it is served by this one consistent generation.
-  std::shared_ptr<const CsdSnapshot> snapshot = store_->Acquire();
-  const BatchCsdAnnotator& annotator = snapshot->annotator();
-  const PoiDatabase& pois = snapshot->data().pois;
+  // Each lane's generation is acquired at most once per batch, lazily: a
+  // batch that never touches shard s doesn't pin it. PublishAll fills
+  // every lane before the global slot that admission checks, so a lane is
+  // never empty here.
+  const size_t num_lanes = plan_.num_shards();
+  std::vector<std::shared_ptr<const CsdSnapshot>> lane_snaps(num_lanes);
+  auto lane_snapshot = [&](size_t s) -> const CsdSnapshot* {
+    if (lane_snaps[s] == nullptr) lane_snaps[s] = store_->AcquireShard(s);
+    return lane_snaps[s].get();
+  };
+  // A stay-less request consults no lane; it reports the global version.
+  const uint64_t global_version = store_->current_version();
 
   std::vector<AnnotateResult> results(batch.size());
   size_t total_stays = 0;
@@ -374,30 +375,57 @@ void ServeService::ExecuteBatch(std::vector<AnnotateRequest> batch) {
     total_stays += request.stays.size();
   }
 
-  // Flatten to (request, index) slots and sort by packed grid-cell key so
-  // neighboring stays — which vote over overlapping candidate sets — run
-  // adjacently and share the grid index's cache lines. The sort only
-  // changes execution order; each slot writes its fixed output position,
-  // and the voting kernel is a strict per-stay argmax, so results are
-  // byte-identical to unbatched annotation at any thread count.
+  // Flatten to (request, index) slots. Every stay is owned by exactly one
+  // lane (plan_.ShardOf; always 0 at K = 1), and a request whose stays
+  // straddle tiles simply fans out — each stay votes against its owning
+  // lane's snapshot. Slots sort by (lane, cell key): lane-major keeps each
+  // lane's annotator (and its halo slice of the grid) hot, cell order
+  // runs neighboring stays — which vote over overlapping candidate sets —
+  // adjacently. The sort only changes execution order; each slot writes
+  // its fixed output position, and the voting kernel is a strict
+  // per-stay argmax, so results come back in request order, byte-identical
+  // to unbatched annotation at any thread count.
   struct Slot {
     uint32_t request;
     uint32_t index;
+    uint32_t lane;
     uint64_t cell_key;
   };
+  constexpr uint64_t kNoVersion = ~0ull;
   std::vector<Slot> slots;
   slots.reserve(total_stays);
   for (size_t r = 0; r < batch.size(); ++r) {
-    results[r].snapshot_version = snapshot->version();
+    results[r].snapshot_version =
+        batch[r].stays.empty() ? global_version : kNoVersion;
     results[r].stays = std::move(batch[r].stays);
     results[r].units.assign(results[r].stays.size(), kNoUnit);
     for (size_t i = 0; i < results[r].stays.size(); ++i) {
+      const Vec2& position = results[r].stays[i].position;
+      size_t lane = plan_.ShardOf(position);
+      const CsdSnapshot* snapshot = lane_snapshot(lane);
+      // The request's version is the oldest generation it consulted —
+      // the freshness floor a straddling request can rely on.
+      results[r].snapshot_version =
+          std::min(results[r].snapshot_version, snapshot->version());
       slots.push_back({static_cast<uint32_t>(r), static_cast<uint32_t>(i),
-                       pois.SpatialKeyOf(results[r].stays[i].position)});
+                       static_cast<uint32_t>(lane),
+                       snapshot->data().pois.SpatialKeyOf(position)});
     }
   }
-  std::sort(slots.begin(), slots.end(),
-            [](const Slot& a, const Slot& b) { return a.cell_key < b.cell_key; });
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+    return a.lane != b.lane ? a.lane < b.lane : a.cell_key < b.cell_key;
+  });
+
+  // Resolve each consulted lane's annotator once: the tile's subset
+  // annotator when the lane serves a plan-mode (full-city) snapshot, the
+  // snapshot's own annotator otherwise (a K = 1 snapshot, or a tile-local
+  // rebuild whose annotator already covers exactly that shard's halo).
+  std::vector<const BatchCsdAnnotator*> annotators(num_lanes, nullptr);
+  for (size_t s = 0; s < num_lanes; ++s) {
+    if (lane_snaps[s] != nullptr) {
+      annotators[s] = &lane_snaps[s]->annotator_for_shard(s);
+    }
+  }
 
   ParallelFor(
       slots.size(),
@@ -407,111 +435,13 @@ void ServeService::ExecuteBatch(std::vector<AnnotateRequest> batch) {
         UnitId unit = kNoUnit;
         // The SIMD/SoA voting kernel — byte-identical to the scalar
         // recognizer() oracle (see core/batch_annotator.h).
-        stay.semantic = annotator.Annotate(stay.position, &unit);
+        stay.semantic = annotators[slot.lane]->Annotate(stay.position, &unit);
         results[slot.request].units[slot.index] = unit;
       },
       {.grain = 32});
 
   auto now = std::chrono::steady_clock::now();
   for (size_t r = 0; r < batch.size(); ++r) {
-    AnnotateLatencyHistogram().Observe(
-        std::chrono::duration<double>(now - batch[r].enqueue_time).count());
-    CompleteRequest(batch[r], std::move(results[r]));
-  }
-  BatchSizeHistogram().Observe(static_cast<double>(batch.size()));
-  BatchesCounter().Increment();
-}
-
-void ServeService::ExecuteBatchSharded(std::vector<AnnotateRequest> batch) {
-  CSD_TRACE_SPAN("serve/annotate_batch_sharded");
-  const size_t num_shards = plan_->num_shards();
-
-  // Each lane's generation is acquired at most once per batch, lazily:
-  // a batch that never touches shard s doesn't pin (or wait on) it.
-  std::vector<std::shared_ptr<const CsdSnapshot>> lane_snaps(num_shards);
-  auto lane_snapshot = [&](size_t s) -> const CsdSnapshot* {
-    if (lane_snaps[s] == nullptr) {
-      lane_snaps[s] = sharded_store_->AcquireShard(s);
-      // Lanes are seeded by the bootstrap PublishAll (admission requires
-      // it), but a still-empty lane degrades to the global generation.
-      if (lane_snaps[s] == nullptr) lane_snaps[s] = store_->Acquire();
-    }
-    return lane_snaps[s].get();
-  };
-
-  std::vector<AnnotateResult> results(batch.size());
-  size_t total_stays = 0;
-  for (const AnnotateRequest& request : batch) {
-    total_stays += request.stays.size();
-  }
-
-  // Geo-routing: every stay is owned by exactly one tile
-  // (plan_->ShardOf), and a request whose stays straddle tiles simply
-  // fans out — each stay votes against its owning lane's snapshot, and
-  // all slots write fixed output positions, so results come back in
-  // request order no matter how the batch was split. Slots sort by
-  // (shard, cell key): shard-major keeps each lane's annotator (and its
-  // halo slice of the grid) hot, cell order keeps neighbors adjacent.
-  struct Slot {
-    uint32_t request;
-    uint32_t index;
-    uint32_t shard;
-    uint64_t cell_key;
-  };
-  constexpr uint64_t kNoVersion = ~0ull;
-  std::vector<Slot> slots;
-  slots.reserve(total_stays);
-  for (size_t r = 0; r < batch.size(); ++r) {
-    results[r].snapshot_version = kNoVersion;
-    results[r].stays = std::move(batch[r].stays);
-    results[r].units.assign(results[r].stays.size(), kNoUnit);
-    for (size_t i = 0; i < results[r].stays.size(); ++i) {
-      const Vec2& position = results[r].stays[i].position;
-      size_t shard = plan_->ShardOf(position);
-      const CsdSnapshot* lane = lane_snapshot(shard);
-      // The request's version is the oldest generation it consulted —
-      // the freshness floor a straddling request can rely on.
-      results[r].snapshot_version =
-          std::min(results[r].snapshot_version, lane->version());
-      slots.push_back({static_cast<uint32_t>(r), static_cast<uint32_t>(i),
-                       static_cast<uint32_t>(shard),
-                       lane->data().pois.SpatialKeyOf(position)});
-    }
-  }
-  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-    return a.shard != b.shard ? a.shard < b.shard : a.cell_key < b.cell_key;
-  });
-
-  // Resolve each consulted lane's annotator once: the tile's subset
-  // annotator when the lane serves a plan-mode (full-city) snapshot,
-  // the snapshot's own city/tile-wide annotator otherwise (a tile-local
-  // rebuild's annotator already covers exactly that shard's halo).
-  std::vector<const BatchCsdAnnotator*> annotators(num_shards, nullptr);
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (lane_snaps[s] == nullptr) continue;
-    annotators[s] = lane_snaps[s]->plan() != nullptr
-                        ? &lane_snaps[s]->annotator_for_shard(s)
-                        : &lane_snaps[s]->annotator();
-  }
-
-  ParallelFor(
-      slots.size(),
-      [&](size_t k) {
-        const Slot& slot = slots[k];
-        StayPoint& stay = results[slot.request].stays[slot.index];
-        UnitId unit = kNoUnit;
-        stay.semantic = annotators[slot.shard]->Annotate(stay.position, &unit);
-        results[slot.request].units[slot.index] = unit;
-      },
-      {.grain = 32});
-
-  auto now = std::chrono::steady_clock::now();
-  uint64_t global_version = store_->current_version();
-  for (size_t r = 0; r < batch.size(); ++r) {
-    // A stay-less request consulted no lane; report the global version.
-    if (results[r].snapshot_version == kNoVersion) {
-      results[r].snapshot_version = global_version;
-    }
     AnnotateLatencyHistogram().Observe(
         std::chrono::duration<double>(now - batch[r].enqueue_time).count());
     CompleteRequest(batch[r], std::move(results[r]));
@@ -549,37 +479,28 @@ void ServeService::RunRebuildJob(RebuildJob job) {
       std::shared_ptr<const ServeDataset> data =
           job.data != nullptr ? std::move(job.data)
                               : store_->Acquire()->shared_data();
-      if (job.shard != kGlobalLane) {
+      std::shared_ptr<CsdSnapshot> snapshot;
+      if (job.shard == kGlobalLane) {
+        // Full rebuild: one full-city generation, published to every lane.
+        snapshot = BuildServingSnapshot(std::move(data), options_.snapshot,
+                                        plan_);
+        result.version = store_->PublishAll(snapshot);
+      } else {
         // Tile-local rebuild: the installed delta-aware builder gets the
         // first shot (it may absorb the delta into cached per-tile stage
         // state); when it declines — or none is installed — cut the
         // shard's halo slice and build a small monolithic snapshot for
         // that lane only (~1/K the work of a city-wide build).
         size_t shard = static_cast<size_t>(job.shard);
-        std::shared_ptr<CsdSnapshot> snapshot;
         if (tile_builder_) snapshot = tile_builder_(shard, data);
         if (snapshot == nullptr) {
           snapshot = std::make_shared<CsdSnapshot>(
-              MakeShardDataset(*data, *plan_, shard), options_.snapshot);
+              MakeShardDataset(*data, plan_, shard), options_.snapshot);
         }
-        result.version = sharded_store_->PublishShard(shard, snapshot);
-        result.num_units = snapshot->diagram().units().size();
-        result.num_patterns = snapshot->patterns().size();
-      } else if (sharded_store_ != nullptr) {
-        // Full rebuild in sharded mode: a plan-mode snapshot (tiled
-        // diagram build, per-shard annotators) published to every lane.
-        auto snapshot = std::make_shared<CsdSnapshot>(
-            std::move(data), options_.snapshot, *plan_);
-        result.version = sharded_store_->PublishAll(snapshot);
-        result.num_units = snapshot->diagram().units().size();
-        result.num_patterns = snapshot->patterns().size();
-      } else {
-        auto snapshot = std::make_shared<CsdSnapshot>(std::move(data),
-                                                      options_.snapshot);
-        result.version = store_->Publish(snapshot);
-        result.num_units = snapshot->diagram().units().size();
-        result.num_patterns = snapshot->patterns().size();
+        result.version = store_->PublishShard(shard, snapshot);
       }
+      result.num_units = snapshot->diagram().units().size();
+      result.num_patterns = snapshot->patterns().size();
       RebuildsCounter().Increment();
     } catch (const std::exception& e) {
       status = Status::Internal(std::string("rebuild failed: ") + e.what());

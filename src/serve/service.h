@@ -30,35 +30,38 @@ struct ServeOptions {
   bool start_paused = false;
 };
 
-/// The online request path over a SnapshotStore: admission control at the
-/// front door, request coalescing in the middle, the CSD voting kernel at
-/// the bottom, and a background rebuild lane that publishes new
-/// generations without stalling readers.
+/// The online request path over a SnapshotStore of K ≥ 1 lanes:
+/// admission control at the front door, request coalescing in the
+/// middle, the CSD voting kernel at the bottom, and background rebuild
+/// lanes that publish new generations without stalling readers.
 ///
 ///   client ──Admit──> RequestBatcher ──batch──> pool ──> promises
 ///                │                        │
-///                └─rebuild lane──> CsdSnapshot build ──> Publish (RCU)
+///                └─rebuild lanes──> CsdSnapshot build ──> Publish (RCU)
+///
+/// Annotation batches are geo-routed: each stay is annotated against the
+/// snapshot of the lane owning its position (plan.ShardOf, always lane 0
+/// at K = 1), a request straddling tiles fans out to every lane it
+/// touches, and results land in request order either way. Full rebuilds
+/// build one full-city generation (BuildServingSnapshot) and publish it
+/// to every lane; at K > 1, TriggerShardRebuild rebuilds one tile on that
+/// shard's own rebuild thread, so a rebuilding tile never stalls
+/// annotation routed to any other shard. Pattern queries and admission
+/// run against the global generation.
 ///
 /// Endpoints return Status::Unavailable immediately under overload
 /// (bounded queues, no unbounded buffering); everything admitted is
 /// guaranteed to complete, including across Shutdown().
 class ServeService {
  public:
+  /// Monolithic serving: the K = 1 case, over a one-lane `store`.
   /// `store` must outlive the service. Annotation and queries require a
   /// published generation; TriggerRebuild with an explicit dataset works
   /// on an empty store (bootstrap).
   explicit ServeService(SnapshotStore* store, ServeOptions options = {});
 
-  /// Sharded mode over a ShardedSnapshotStore: annotation batches are
-  /// geo-routed by `plan` — each stay is annotated against the snapshot
-  /// of the lane owning its position, a request straddling tiles fans out
-  /// to every lane it touches, and results land in request order either
-  /// way. Full rebuilds go through the global lane (PublishAll, plan-mode
-  /// snapshots); TriggerShardRebuild rebuilds one tile on that shard's
-  /// own rebuild thread, so a rebuilding tile never stalls annotation
-  /// routed to any other shard. Pattern queries and admission are
-  /// unchanged (they run against the global lane).
-  ServeService(ShardedSnapshotStore* store, shard::ShardPlan plan,
+  /// K = plan.num_shards() lanes over a store with as many lanes.
+  ServeService(SnapshotStore* store, shard::ShardPlan plan,
                ServeOptions options = {});
 
   /// Shuts down (drains) if the caller did not.
@@ -99,8 +102,8 @@ class ServeService {
   /// the caller's thread (admission class kQuery).
   Result<PatternQueryResult> QueryPatternsByUnit(UnitId unit);
 
-  /// Queues a full background rebuild + publish. `data` is the new
-  /// dataset generation; nullptr re-runs on the current snapshot's
+  /// Queues a full background rebuild + publish to every lane. `data` is
+  /// the new dataset generation; nullptr re-runs on the current snapshot's
   /// dataset. At most limits.rebuild rebuilds are in flight; extra
   /// triggers get kUnavailable. A rebuild that fails (injected fault,
   /// build exception) degrades gracefully: the store is left untouched —
@@ -109,7 +112,8 @@ class ServeService {
   Result<std::future<RebuildResult>> TriggerRebuild(
       std::shared_ptr<const ServeDataset> data = nullptr);
 
-  /// Sharded mode only: queues a rebuild of shard `shard`'s tile on that
+  /// K > 1 only (a K = 1 service has no tile lane, so every shard index
+  /// is out of range): queues a rebuild of shard `shard`'s tile on that
   /// shard's dedicated rebuild lane. The tile dataset is cut from `data`
   /// (nullptr re-cuts from the global lane's current dataset) by
   /// MakeShardDataset, built as a tile-local snapshot, and published to
@@ -173,10 +177,10 @@ class ServeService {
   };
   static constexpr int64_t kGlobalLane = -1;
 
-  /// One independent rebuild worker: lane 0 serves full rebuilds; in
-  /// sharded mode lanes 1..K serve single-shard rebuilds, one thread per
-  /// shard, so a slow tile build never queues behind (or ahead of)
-  /// another shard's.
+  /// One independent rebuild worker: lane 0 serves full rebuilds; at
+  /// K > 1, lanes 1..K serve single-shard rebuilds, one thread per shard,
+  /// so a slow tile build never queues behind (or ahead of) another
+  /// shard's.
   struct RebuildLane {
     std::mutex mutex;
     std::condition_variable cv;
@@ -194,20 +198,18 @@ class ServeService {
       std::vector<StayPoint> stays,
       std::chrono::steady_clock::time_point deadline);
   void ExecuteBatch(std::vector<AnnotateRequest> batch);
-  void ExecuteBatchSharded(std::vector<AnnotateRequest> batch);
   void StartRebuildLanes(size_t count);
   Result<std::future<RebuildResult>> EnqueueRebuild(RebuildJob job);
   void RebuildMain(RebuildLane* lane);
   void RunRebuildJob(RebuildJob job);
 
   SnapshotStore* store_;
-  /// Sharded mode only (else nullptr); store_ aliases its global lane.
-  ShardedSnapshotStore* sharded_store_ = nullptr;
-  std::unique_ptr<shard::ShardPlan> plan_;
+  /// Routes stays to lanes; a one-tile plan at K = 1.
+  shard::ShardPlan plan_;
   ServeOptions options_;
   AdmissionController admission_;
 
-  /// [0] = global; [1 + s] = shard s (sharded mode only).
+  /// [0] = full rebuilds; [1 + s] = shard s's tile (K > 1 only).
   std::vector<std::unique_ptr<RebuildLane>> rebuild_lanes_;
 
   TileSnapshotBuilder tile_builder_;

@@ -222,4 +222,13 @@ void CsdSnapshot::StampVersion(uint64_t version) {
   stamp_ = kLiveStamp ^ version;
 }
 
+std::shared_ptr<CsdSnapshot> BuildServingSnapshot(
+    std::shared_ptr<const ServeDataset> data, const SnapshotOptions& options,
+    const shard::ShardPlan& plan) {
+  if (plan.num_shards() == 1) {
+    return std::make_shared<CsdSnapshot>(std::move(data), options);
+  }
+  return std::make_shared<CsdSnapshot>(std::move(data), options, plan);
+}
+
 }  // namespace csd::serve

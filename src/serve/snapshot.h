@@ -53,7 +53,8 @@ std::shared_ptr<const ServeDataset> MakeServeDataset(
 /// ascending global id / input order), and the trajectories owning at
 /// least one stay inside the tile proper. Feeding the result to the plain
 /// CsdSnapshot ctor gives a tile-local generation whose build cost is
-/// ~1/K of the city's — the per-shard rebuild lane of ShardedSnapshotStore.
+/// ~1/K of the city's — what a shard's rebuild lane publishes to its lane
+/// of the SnapshotStore.
 /// Tile-local annotation near the halo fringe may differ from the
 /// full-city build (eps-chains can cross halos); the byte-identity
 /// guarantee belongs to the full sharded build, not to tile rebuilds.
@@ -73,7 +74,7 @@ struct SnapshotOptions {
 /// An immutable, versioned serving generation: the CSD (via an owned
 /// PervasiveMiner, whose recognizer is the dense-scratch voting kernel of
 /// Algorithm 3), the mined fine-grained patterns, and a CSR unit→pattern
-/// index. Construction does the full build; after Publish() stamps the
+/// index. Construction does the full build; after a publish stamps the
 /// version, nothing mutates, so any number of request threads may read it
 /// without synchronization.
 ///
@@ -108,7 +109,7 @@ class CsdSnapshot {
   CsdSnapshot(const CsdSnapshot&) = delete;
   CsdSnapshot& operator=(const CsdSnapshot&) = delete;
 
-  /// Version stamped by SnapshotStore::Publish; 0 until published. The
+  /// Version stamped by the SnapshotStore publish; 0 until published. The
   /// publishing store's release-store makes the stamp visible to every
   /// reader that acquired the snapshot through it.
   uint64_t version() const { return version_; }
@@ -158,7 +159,6 @@ class CsdSnapshot {
 
  private:
   friend class SnapshotStore;
-  friend class ShardedSnapshotStore;
   void StampVersion(uint64_t version);
   /// Shared tail of both ctors: pattern mining + the unit→pattern CSR.
   void FinishInit(const SnapshotOptions& options);
@@ -176,6 +176,18 @@ class CsdSnapshot {
   uint64_t version_ = 0;
   uint64_t stamp_ = 0;
 };
+
+/// The full-city generation a service over `plan` serves, built by both
+/// the start-up build and every full rebuild: the one place the lane
+/// count K changes what gets built. K = 1 takes the monolithic
+/// constructor; K > 1 the plan-mode one (tiled diagram build, per-shard
+/// subset annotators, PrefixSpan lanes). A one-tile plan-mode build would
+/// run its single tile as one pool task on one core — 33-41 % slower
+/// than the monolithic build on the benchmark's serve-annotate city
+/// (docs/sharding.md) — and carry a redundant subset annotator.
+std::shared_ptr<CsdSnapshot> BuildServingSnapshot(
+    std::shared_ptr<const ServeDataset> data, const SnapshotOptions& options,
+    const shard::ShardPlan& plan);
 
 }  // namespace csd::serve
 

@@ -2,6 +2,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/check.h"
 
 namespace csd::serve {
 
@@ -29,11 +30,7 @@ obs::Counter& ShardPublishCounter() {
 
 }  // namespace
 
-SnapshotStore::SnapshotStore(std::shared_ptr<CsdSnapshot> initial) {
-  Publish(std::move(initial));
-}
-
-std::shared_ptr<const CsdSnapshot> SnapshotStore::Acquire() const {
+std::shared_ptr<const CsdSnapshot> SnapshotStore::Slot::Load() const {
 #ifdef CSD_SERVE_ATOMIC_SHARED_PTR
   return current_.load(std::memory_order_acquire);
 #else
@@ -41,27 +38,10 @@ std::shared_ptr<const CsdSnapshot> SnapshotStore::Acquire() const {
 #endif
 }
 
-uint64_t SnapshotStore::Publish(std::shared_ptr<CsdSnapshot> next) {
-  CSD_TRACE_SPAN("serve/publish");
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  uint64_t version = version_.load(std::memory_order_relaxed) + 1;
-  next->StampVersion(version);
-  StoreCurrent(std::shared_ptr<const CsdSnapshot>(std::move(next)), version);
-  SnapshotVersionGauge().Set(static_cast<double>(version));
-  PublishCounter().Increment();
-  return version;
-}
-
-void SnapshotStore::PublishStamped(std::shared_ptr<const CsdSnapshot> next,
-                                   uint64_t version) {
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  StoreCurrent(std::move(next), version);
-}
-
-void SnapshotStore::StoreCurrent(std::shared_ptr<const CsdSnapshot> next,
-                                 uint64_t version) {
+void SnapshotStore::Slot::Store(std::shared_ptr<const CsdSnapshot> next,
+                                uint64_t version) {
   // The release store below is what makes the stamp (and the whole
-  // snapshot construction) visible to readers that Acquire() it.
+  // snapshot construction) visible to readers that Load() it.
 #ifdef CSD_SERVE_ATOMIC_SHARED_PTR
   current_.store(std::move(next), std::memory_order_release);
 #else
@@ -71,35 +51,37 @@ void SnapshotStore::StoreCurrent(std::shared_ptr<const CsdSnapshot> next,
   version_.store(version, std::memory_order_release);
 }
 
-ShardedSnapshotStore::ShardedSnapshotStore(size_t num_shards)
-    : lanes_(num_shards) {}
+SnapshotStore::SnapshotStore(size_t num_shards) : lanes_(num_shards) {
+  CSD_CHECK_MSG(num_shards >= 1, "a snapshot store needs at least one lane");
+}
 
-uint64_t ShardedSnapshotStore::PublishAll(std::shared_ptr<CsdSnapshot> next) {
-  CSD_TRACE_SPAN("serve/publish_all");
+SnapshotStore::SnapshotStore(std::shared_ptr<CsdSnapshot> initial)
+    : SnapshotStore(1) {
+  PublishAll(std::move(initial));
+}
+
+uint64_t SnapshotStore::PublishAll(std::shared_ptr<CsdSnapshot> next) {
+  CSD_TRACE_SPAN("serve/publish");
   std::lock_guard<std::mutex> lock(publish_mutex_);
-  uint64_t version =
-      next_version_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Stamped exactly once, before any lane can hand the snapshot out.
+  uint64_t version = ++last_version_;
+  // Stamped exactly once, before any slot can hand the snapshot out.
   next->StampVersion(version);
   std::shared_ptr<const CsdSnapshot> shared = std::move(next);
-  global_.PublishStamped(shared, version);
-  for (SnapshotStore& lane : lanes_) {
-    lane.PublishStamped(shared, version);
-  }
+  for (Slot& lane : lanes_) lane.Store(shared, version);
+  global_.Store(std::move(shared), version);
   SnapshotVersionGauge().Set(static_cast<double>(version));
   PublishCounter().Increment();
   return version;
 }
 
-uint64_t ShardedSnapshotStore::PublishShard(
-    size_t s, std::shared_ptr<CsdSnapshot> next) {
+uint64_t SnapshotStore::PublishShard(size_t s,
+                                     std::shared_ptr<CsdSnapshot> next) {
   CSD_TRACE_SPAN("serve/publish_shard");
   std::lock_guard<std::mutex> lock(publish_mutex_);
-  uint64_t version =
-      next_version_.fetch_add(1, std::memory_order_relaxed) + 1;
+  uint64_t version = ++last_version_;
   next->StampVersion(version);
-  lanes_[s].PublishStamped(
-      std::shared_ptr<const CsdSnapshot>(std::move(next)), version);
+  lanes_[s].Store(std::shared_ptr<const CsdSnapshot>(std::move(next)),
+                  version);
   ShardPublishCounter().Increment();
   return version;
 }

@@ -22,52 +22,74 @@
 
 namespace csd::serve {
 
-/// RCU-style holder of the current serving generation. Readers acquire
-/// the live snapshot as a shared_ptr copy through
-/// std::atomic<std::shared_ptr> (no store-wide lock, never blocked by a
-/// publish); a publish stamps the next version onto the incoming snapshot
-/// and swaps it in atomically. In-flight requests keep annotating against
-/// the generation they acquired, and an old generation is reclaimed by
-/// the shared_ptr control block the moment its last reader releases it —
-/// there is no quiescence wait and no epoch bookkeeping to leak.
+/// RCU-style holder of the serving generations: one global slot (the
+/// full-city snapshot — pattern queries, admission's "is anything
+/// published" check, the source dataset of rebuilds) plus K ≥ 1 lanes,
+/// one per spatial shard, that geo-routed annotation reads. Monolithic
+/// serving is K = 1: one lane holding the same generation as the global
+/// slot.
 ///
-/// Publishes are serialized by a mutex (they are rare — one per rebuild)
-/// so versions are strictly monotonic; Acquire never takes it.
+/// Readers acquire a generation as a shared_ptr copy through
+/// std::atomic<std::shared_ptr> (no store-wide lock, never blocked by a
+/// publish). In-flight requests keep annotating against the generation
+/// they acquired, and an old generation is reclaimed by the shared_ptr
+/// control block the moment its last reader releases it — there is no
+/// quiescence wait and no epoch bookkeeping to leak.
+///
+/// Every slot shares one monotonic version counter, so "shard 3 is newer
+/// than the global snapshot" is a meaningful comparison; a snapshot is
+/// stamped exactly once, by this store, then fanned out. Publishes are
+/// serialized by a mutex (they are rare — one per rebuild); Acquire never
+/// takes it.
 class SnapshotStore {
  public:
-  SnapshotStore() = default;
+  /// An empty store with `num_shards` lanes (version 0, Acquire() ==
+  /// nullptr until the first PublishAll).
+  explicit SnapshotStore(size_t num_shards = 1);
 
-  /// Convenience: construct and publish an initial generation (version 1).
+  /// A K = 1 store with `initial` published as version 1.
   explicit SnapshotStore(std::shared_ptr<CsdSnapshot> initial);
 
-  /// The current generation, or nullptr before the first publish. The
+  size_t num_shards() const { return lanes_.size(); }
+
+  /// The global generation, or nullptr before the first publish. The
   /// returned pointer pins the snapshot: hold it for the duration of one
   /// request (or one batch) and let it go.
-  std::shared_ptr<const CsdSnapshot> Acquire() const;
-
-  /// Stamps `next` with the next version, swaps it in, and returns that
-  /// version. The previous generation stays alive until its last reader
-  /// releases it.
-  uint64_t Publish(std::shared_ptr<CsdSnapshot> next);
-
-  /// Swaps in a snapshot whose version was already stamped by an outer
-  /// versioning authority (ShardedSnapshotStore, which fans one stamped
-  /// generation out to several lanes). Does not touch the publish
-  /// metrics; `version` must exceed this store's current version.
-  void PublishStamped(std::shared_ptr<const CsdSnapshot> next,
-                      uint64_t version);
-
-  /// Version of the latest published generation (0 before the first).
-  uint64_t current_version() const {
-    return version_.load(std::memory_order_acquire);
+  std::shared_ptr<const CsdSnapshot> Acquire() const {
+    return global_.Load();
+  }
+  std::shared_ptr<const CsdSnapshot> AcquireShard(size_t s) const {
+    return lanes_[s].Load();
   }
 
- private:
-  void StoreCurrent(std::shared_ptr<const CsdSnapshot> next,
-                    uint64_t version);
+  /// Stamps `next` once and publishes it to every lane and then the
+  /// global slot (the bootstrap and full-rebuild path). Returns the
+  /// stamped version. Lanes go first so that a reader that has seen a
+  /// global version (admission checks it) finds every lane at that
+  /// version or newer — no lane is ever empty once the store admits.
+  uint64_t PublishAll(std::shared_ptr<CsdSnapshot> next);
 
-  std::mutex publish_mutex_;
-  std::atomic<uint64_t> version_{0};
+  /// Stamps `next` once and publishes it to lane `s` only — the tile
+  /// rebuild path. The global slot and the other lanes keep serving
+  /// their current generations.
+  uint64_t PublishShard(size_t s, std::shared_ptr<CsdSnapshot> next);
+
+  /// Version of the global generation (0 before the first PublishAll).
+  uint64_t current_version() const { return global_.version(); }
+  uint64_t shard_version(size_t s) const { return lanes_[s].version(); }
+
+ private:
+  /// One RCU slot: a generation and the version it was stamped with.
+  class Slot {
+   public:
+    std::shared_ptr<const CsdSnapshot> Load() const;
+    void Store(std::shared_ptr<const CsdSnapshot> next, uint64_t version);
+    uint64_t version() const {
+      return version_.load(std::memory_order_acquire);
+    }
+
+   private:
+    std::atomic<uint64_t> version_{0};
 // Under ThreadSanitizer, use the free-function atomic shared_ptr protocol
 // (a mutex pool tsan understands) instead of std::atomic<shared_ptr>:
 // libstdc++'s _Sp_atomic::load releases its embedded spinlock with
@@ -76,63 +98,24 @@ class SnapshotStore {
 // the guarded _M_ptr accesses as racing.
 #if defined(__cpp_lib_atomic_shared_ptr) && !defined(CSD_SERVE_TSAN)
 #define CSD_SERVE_ATOMIC_SHARED_PTR 1
-  std::atomic<std::shared_ptr<const CsdSnapshot>> current_;
+    std::atomic<std::shared_ptr<const CsdSnapshot>> current_;
 #else
-  // Pre-C++20 libraries and tsan builds: free-function protocol.
-  std::shared_ptr<const CsdSnapshot> current_;
+    // Pre-C++20 libraries and tsan builds: free-function protocol.
+    std::shared_ptr<const CsdSnapshot> current_;
 #endif
-};
+  };
 
-/// The sharded serving store: one global lane (the full-city snapshot —
-/// pattern queries and the geo-router's plan source) plus one lane per
-/// spatial shard, each an independent RCU SnapshotStore. All lanes share
-/// a single monotonic version counter, so "shard 3 is newer than the
-/// global snapshot" is a meaningful comparison; a snapshot is stamped
-/// exactly once, then fanned out.
-///
-/// PublishAll seeds every lane with the same full-city generation (the
-/// bootstrap and full-rebuild path); PublishShard replaces one shard's
-/// lane only — the per-shard rebuild path, which is what lets one tile
-/// rebuild without stalling annotation anywhere else in the city.
-class ShardedSnapshotStore {
- public:
-  explicit ShardedSnapshotStore(size_t num_shards);
-
-  size_t num_shards() const { return lanes_.size(); }
-  SnapshotStore& global() { return global_; }
-  const SnapshotStore& global() const { return global_; }
-  SnapshotStore& shard(size_t s) { return lanes_[s]; }
-
-  std::shared_ptr<const CsdSnapshot> Acquire() const {
-    return global_.Acquire();
-  }
-  std::shared_ptr<const CsdSnapshot> AcquireShard(size_t s) const {
-    return lanes_[s].Acquire();
-  }
-
-  /// Stamps `next` once and publishes it to the global lane and every
-  /// shard lane. Returns the stamped version.
-  uint64_t PublishAll(std::shared_ptr<CsdSnapshot> next);
-
-  /// Stamps `next` once and publishes it to shard `s` only. The global
-  /// lane and the other shards keep serving their current generations.
-  uint64_t PublishShard(size_t s, std::shared_ptr<CsdSnapshot> next);
-
-  /// Version of the global lane's generation (0 before the first
-  /// PublishAll) — the service's "is anything published yet" check.
-  uint64_t current_version() const { return global_.current_version(); }
-  uint64_t shard_version(size_t s) const {
-    return lanes_[s].current_version();
-  }
-
- private:
   std::mutex publish_mutex_;
-  std::atomic<uint64_t> next_version_{0};
-  SnapshotStore global_;
-  // vector<SnapshotStore> is fine: lanes are constructed in place once
-  // and never moved (SnapshotStore is not movable).
-  std::vector<SnapshotStore> lanes_;
+  uint64_t last_version_ = 0;  // guarded by publish_mutex_
+  Slot global_;
+  // vector<Slot> is fine: lanes are constructed in place once and never
+  // moved (Slot is not movable).
+  std::vector<Slot> lanes_;
 };
+
+/// The benchmark tool's sources (perfbench/) name the K-lane store this
+/// way; the alias keeps them compiling.
+using ShardedSnapshotStore = SnapshotStore;
 
 }  // namespace csd::serve
 

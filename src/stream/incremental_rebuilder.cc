@@ -15,7 +15,7 @@
 namespace csd::stream {
 
 IncrementalRebuilder::IncrementalRebuilder(
-    serve::ServeService* service, serve::ShardedSnapshotStore* store,
+    serve::ServeService* service, serve::SnapshotStore* store,
     const shard::ShardPlan* plan,
     std::shared_ptr<const serve::ServeDataset> bootstrap,
     DeltaAccumulator* accumulator, size_t checkpoint_every,

@@ -66,7 +66,7 @@ class IncrementalRebuilder {
   /// counts the report breaks out; the builder itself hooks the service
   /// directly, so passing it here only wires up reporting.
   IncrementalRebuilder(serve::ServeService* service,
-                       serve::ShardedSnapshotStore* store,
+                       serve::SnapshotStore* store,
                        const shard::ShardPlan* plan,
                        std::shared_ptr<const serve::ServeDataset> bootstrap,
                        DeltaAccumulator* accumulator,
@@ -86,7 +86,7 @@ class IncrementalRebuilder {
   std::shared_ptr<const serve::ServeDataset> MakeNextGeneration() const;
 
   serve::ServeService* service_;
-  serve::ShardedSnapshotStore* store_;
+  serve::SnapshotStore* store_;
   const shard::ShardPlan* plan_;
   std::shared_ptr<const serve::ServeDataset> bootstrap_;
   DeltaAccumulator* accumulator_;

@@ -9,7 +9,7 @@
 namespace csd::stream {
 
 StreamIngestor::StreamIngestor(
-    serve::ServeService* service, serve::ShardedSnapshotStore* store,
+    serve::ServeService* service, serve::SnapshotStore* store,
     shard::ShardPlan plan,
     std::shared_ptr<const serve::ServeDataset> bootstrap,
     StreamOptions options)

@@ -57,7 +57,7 @@ class StreamIngestor {
   /// `service` and `store` must outlive the ingestor; `bootstrap` is the
   /// dataset generation the served snapshots were built from.
   StreamIngestor(serve::ServeService* service,
-                 serve::ShardedSnapshotStore* store, shard::ShardPlan plan,
+                 serve::SnapshotStore* store, shard::ShardPlan plan,
                  std::shared_ptr<const serve::ServeDataset> bootstrap,
                  StreamOptions options = {});
 

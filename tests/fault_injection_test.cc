@@ -1,6 +1,6 @@
 // Fault injection and robustness: the failpoint registry itself, every
-// planted failpoint in the tree (ingest I/O, protocol parsing, batch
-// execution, snapshot rebuild), deadline propagation, and the batcher's
+// planted failpoint in the tree (ingest I/O, batch execution, snapshot
+// rebuild, stream ingest), deadline propagation, and the batcher's
 // shutdown/pause edge cases. The invariant under test everywhere: a fault
 // turns into a prompt, explicit non-OK Status — never a hang, a crash, or
 // a silently dropped request — and the admission budget is returned
@@ -32,7 +32,6 @@
 #include "io/dataset_io.h"
 #include "obs/obs.h"
 #include "serve/batcher.h"
-#include "serve/protocol.h"
 #include "serve/retry.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -245,40 +244,6 @@ TEST_F(IngestFailpointTest, EveryIngestReaderIsInjectable) {
   }
 }
 
-// --- Planted protocol failpoint ------------------------------------------
-
-TEST_F(FailpointTest, ProtocolParseIsInjectable) {
-  ASSERT_TRUE(serve::ParseRequestLine("stats").ok());
-  ASSERT_TRUE(FailpointRegistry::Get()
-                  .Arm("serve/parse", "return(parseerror:fuzzed)")
-                  .ok());
-  auto injected = serve::ParseRequestLine("stats");
-  ASSERT_FALSE(injected.ok());
-  EXPECT_EQ(injected.status().code(), StatusCode::kParseError);
-  FailpointRegistry::Get().DisarmAll();
-  EXPECT_TRUE(serve::ParseRequestLine("stats").ok());
-}
-
-TEST_F(FailpointTest, ProtocolDeadlineTokenParses) {
-  auto with = serve::ParseRequestLine("annotate 1,2;3,4 @250");
-  ASSERT_TRUE(with.ok()) << with.status().ToString();
-  EXPECT_EQ(with.value().stays.size(), 2u);
-  EXPECT_EQ(with.value().deadline_budget, std::chrono::milliseconds(250));
-
-  auto journey = serve::ParseRequestLine("journey 1,2,3;4,5,6 @50");
-  ASSERT_TRUE(journey.ok()) << journey.status().ToString();
-  EXPECT_EQ(journey.value().deadline_budget, std::chrono::milliseconds(50));
-
-  auto without = serve::ParseRequestLine("annotate 1,2");
-  ASSERT_TRUE(without.ok());
-  EXPECT_EQ(without.value().deadline_budget.count(), 0);
-
-  EXPECT_FALSE(serve::ParseRequestLine("annotate 1,2 @0").ok());
-  EXPECT_FALSE(serve::ParseRequestLine("annotate 1,2 @-5").ok());
-  EXPECT_FALSE(serve::ParseRequestLine("annotate 1,2 @soon").ok());
-  EXPECT_FALSE(serve::ParseRequestLine("annotate @100").ok());  // no points
-}
-
 // --- Serving-layer chaos --------------------------------------------------
 
 class ServeFaultTest : public FailpointTest {
@@ -464,7 +429,7 @@ class StreamChaosTest : public FailpointTest {
 
   struct Rig {
     shard::ShardPlan plan;
-    std::unique_ptr<serve::ShardedSnapshotStore> store;
+    std::unique_ptr<serve::SnapshotStore> store;
     std::unique_ptr<serve::ServeService> service;
     std::unique_ptr<stream::StreamIngestor> ingestor;
     uint64_t bootstrap_version = 0;
@@ -477,7 +442,7 @@ class StreamChaosTest : public FailpointTest {
             nullptr, nullptr, nullptr};
     auto snapshot = std::make_shared<serve::CsdSnapshot>(*bootstrap_,
                                                          options, rig.plan);
-    rig.store = std::make_unique<serve::ShardedSnapshotStore>(
+    rig.store = std::make_unique<serve::SnapshotStore>(
         rig.plan.num_shards());
     rig.bootstrap_version = rig.store->PublishAll(snapshot);
     serve::ServeOptions serve_options;

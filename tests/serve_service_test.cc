@@ -1,8 +1,8 @@
-// End-to-end behavior of ServeService's four endpoints plus the csdctl
-// wire protocol: preconditions on an unpublished store, rebuilds that
-// publish new generations visible to later requests, pattern queries that
-// pin their snapshot, the queue-wait timer, and the request grammar's
-// parse/format round trips.
+// End-to-end behavior of ServeService's four endpoints plus the text
+// forms of the framed protocol: preconditions on an unpublished store,
+// rebuilds that publish new generations visible to later requests (a
+// K = 1 rebuild through the monolithic build), pattern queries that pin
+// their snapshot, the serve timers, and the response-line formats.
 
 #include <gtest/gtest.h>
 
@@ -127,6 +127,30 @@ TEST_F(ServeServiceTest, QueryPinsItsSnapshotAcrossAPublish) {
   EXPECT_EQ(std::move(fresh).value().get().snapshot_version, 2u);
 }
 
+TEST_F(ServeServiceTest, SingleLaneRebuildPublishesTheMonolithicBuild) {
+  // K = 1 is the one K-dependent build choice: start-up and every full
+  // rebuild take the monolithic constructor (no plan, no subset
+  // annotators), never a one-tile plan-mode build.
+  SnapshotStore store(*snapshot_);
+  ServeOptions options;
+  options.snapshot = TestSnapshotOptions();
+  ServeService service(&store, options);
+  auto rebuild = service.TriggerRebuild();
+  ASSERT_TRUE(rebuild.ok()) << rebuild.status().ToString();
+  RebuildResult published = std::move(rebuild).value().get();
+  ASSERT_TRUE(published.status.ok()) << published.status.ToString();
+  EXPECT_EQ(published.version, 2u);
+
+  std::shared_ptr<const CsdSnapshot> global = store.Acquire();
+  ASSERT_NE(global, nullptr);
+  EXPECT_EQ(global->plan(), nullptr);
+  EXPECT_EQ(store.AcquireShard(0).get(), global.get());
+  EXPECT_EQ(&global->annotator_for_shard(0), &global->annotator());
+  EXPECT_EQ(global->diagram().num_units(),
+            (*snapshot_)->diagram().num_units());
+  EXPECT_EQ(global->patterns().size(), (*snapshot_)->patterns().size());
+}
+
 TEST_F(ServeServiceTest, QueueWaitIsTimedOncePerServedRequest) {
   const bool obs_was_enabled = obs::Enabled();
   obs::SetEnabled(true);
@@ -164,54 +188,53 @@ TEST_F(ServeServiceTest, QueueWaitIsTimedOncePerServedRequest) {
   obs::SetEnabled(obs_was_enabled);
 }
 
-TEST(ServeProtocolTest, ParsesEveryVerb) {
-  auto annotate = ParseRequestLine("annotate 10,20;30.5,40.5");
-  ASSERT_TRUE(annotate.ok()) << annotate.status().ToString();
-  EXPECT_EQ(annotate.value().kind, RequestKind::kAnnotate);
-  ASSERT_EQ(annotate.value().stays.size(), 2u);
-  EXPECT_DOUBLE_EQ(annotate.value().stays[1].position.x, 30.5);
+TEST_F(ServeServiceTest, ServeTimersResolveMicrosecondWaits) {
+  // A light-load queue wait is a few microseconds: 4 us and 40 us must
+  // land in different buckets of the serve timers, both below 0.1 ms.
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  SnapshotStore store(*snapshot_);
+  ServeService service(&store);
+  auto served = service.AnnotateStayPoints({StayPoint(Vec2{100.0, 100.0}, 0)});
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(std::move(served).value().get().status.ok());  // registers
+  service.Shutdown();
 
-  auto journey = ParseRequestLine("journey 1,2,3;4,5,6");
-  ASSERT_TRUE(journey.ok()) << journey.status().ToString();
-  EXPECT_EQ(journey.value().kind, RequestKind::kJourney);
-  EXPECT_EQ(journey.value().journey.pickup.time, 3);
-  EXPECT_DOUBLE_EQ(journey.value().journey.dropoff.position.y, 5.0);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  const std::vector<double> bounds =
+      registry.GetHistogram("csd_serve_queue_wait_seconds", "", {}).bounds();
+  EXPECT_EQ(bounds,
+            registry.GetHistogram("csd_serve_annotate_latency_seconds", "", {})
+                .bounds());
+  // A same-bounds histogram of its own, so the served metrics stay
+  // untouched.
+  obs::Histogram& probe =
+      registry.GetHistogram("test_serve_timer_probe_seconds", "", bounds);
+  const std::vector<uint64_t> before = probe.BucketCounts();
+  probe.Observe(4e-6);
+  probe.Observe(40e-6);
+  const std::vector<uint64_t> after = probe.BucketCounts();
+  obs::SetEnabled(obs_was_enabled);
 
-  auto query = ParseRequestLine("query-unit 42");
-  ASSERT_TRUE(query.ok()) << query.status().ToString();
-  EXPECT_EQ(query.value().kind, RequestKind::kQueryUnit);
-  EXPECT_EQ(query.value().unit, 42u);
-
-  EXPECT_EQ(ParseRequestLine("rebuild").value().kind, RequestKind::kRebuild);
-  EXPECT_EQ(ParseRequestLine("stats").value().kind, RequestKind::kStats);
-  EXPECT_EQ(ParseRequestLine("  quit  ").value().kind, RequestKind::kQuit);
-}
-
-TEST(ServeProtocolTest, ParseErrorsNameTheOffendingToken) {
-  auto unknown = ParseRequestLine("bogus 1,2");
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_NE(unknown.status().message().find("bogus"), std::string::npos);
-
-  auto extra = ParseRequestLine("rebuild now");
-  ASSERT_FALSE(extra.ok());
-  EXPECT_NE(extra.status().message().find("rebuild"), std::string::npos);
-
-  EXPECT_FALSE(ParseRequestLine("").ok());
-  EXPECT_FALSE(ParseRequestLine("annotate").ok());
-  EXPECT_FALSE(ParseRequestLine("annotate 1").ok());        // not X,Y
-  EXPECT_FALSE(ParseRequestLine("annotate 1,juice").ok());  // bad number
-  EXPECT_FALSE(ParseRequestLine("journey 1,2;3,4").ok());   // missing T
-  EXPECT_FALSE(ParseRequestLine("query-unit banana").ok());
+  std::vector<size_t> hit;
+  for (size_t b = 0; b < after.size(); ++b) {
+    for (uint64_t n = before[b]; n < after[b]; ++n) hit.push_back(b);
+  }
+  ASSERT_EQ(hit.size(), 2u);
+  EXPECT_NE(hit[0], hit[1]) << "4 us and 40 us share a bucket";
+  for (size_t b : hit) {
+    ASSERT_LT(b, bounds.size());
+    EXPECT_LT(bounds[b], 1e-4) << "bucket " << b << " is not below 0.1 ms";
+  }
 }
 
 TEST(ServeProtocolTest, FormatsMachineParsableResponses) {
-  AnnotateResult annotated;
+  NetResponse annotated;
+  annotated.type = FrameType::kAnnotateResp;
   annotated.snapshot_version = 3;
-  annotated.stays = {StayPoint(Vec2{1.0, 2.0}, 0,
-                               SemanticProperty::FromBits(0x5)),
-                     StayPoint(Vec2{3.0, 4.0}, 0)};
   annotated.units = {7, kNoUnit};
-  EXPECT_EQ(FormatAnnotateResponse(annotated),
+  annotated.semantic_bits = {0x5, 0x0};
+  EXPECT_EQ(FormatResponseLine(annotated),
             "ok annotate v=3 n=2 units=7,- sem=0x5,0x0");
 
   RebuildResult rebuilt;
@@ -221,11 +244,18 @@ TEST(ServeProtocolTest, FormatsMachineParsableResponses) {
   rebuilt.seconds = 0.5;
   EXPECT_EQ(FormatRebuildResponse(rebuilt),
             "ok rebuild v=2 units=10 patterns=4 seconds=0.500");
+  NetResponse text;
+  text.type = FrameType::kTextResp;
+  text.text = FormatRebuildResponse(rebuilt);
+  EXPECT_EQ(FormatResponseLine(text), text.text);
 
-  std::string error =
-      FormatErrorResponse(Status::Unavailable("queue full"));
-  EXPECT_EQ(error.rfind("err ", 0), 0u) << error;
-  EXPECT_NE(error.find("queue full"), std::string::npos);
+  NetResponse error;
+  error.type = FrameType::kErrorResp;
+  error.code = StatusCode::kUnavailable;
+  error.message = "queue full";
+  std::string line = FormatResponseLine(error);
+  EXPECT_EQ(line.rfind("err Unavailable", 0), 0u) << line;
+  EXPECT_NE(line.find("queue full"), std::string::npos);
 }
 
 }  // namespace

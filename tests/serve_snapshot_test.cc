@@ -34,7 +34,7 @@ TEST(CsdSnapshotTest, BuildIsConsistentAndVersionedByPublish) {
   SnapshotStore store;
   EXPECT_EQ(store.Acquire(), nullptr);
   EXPECT_EQ(store.current_version(), 0u);
-  EXPECT_EQ(store.Publish(snapshot), 1u);
+  EXPECT_EQ(store.PublishAll(snapshot), 1u);
   EXPECT_EQ(snapshot->version(), 1u);
   EXPECT_TRUE(snapshot->CheckIntegrity());
   EXPECT_EQ(store.Acquire().get(), snapshot.get());
@@ -75,7 +75,7 @@ TEST(SnapshotStoreTest, PublishesAreMonotonicAndOldGenerationsSurvive) {
   EXPECT_EQ(store.current_version(), 1u);
 
   std::shared_ptr<const CsdSnapshot> pinned = store.Acquire();
-  EXPECT_EQ(store.Publish(std::make_shared<CsdSnapshot>(
+  EXPECT_EQ(store.PublishAll(std::make_shared<CsdSnapshot>(
                 dataset, TestSnapshotOptions(/*mine_patterns=*/false))),
             2u);
   // The pinned generation is intact after being superseded.
@@ -91,7 +91,7 @@ TEST(SnapshotStoreTest, ReclaimsGenerationsWithLastReader) {
     SnapshotStore store(std::make_shared<CsdSnapshot>(
         dataset, TestSnapshotOptions(/*mine_patterns=*/false)));
     std::shared_ptr<const CsdSnapshot> pinned = store.Acquire();
-    store.Publish(std::make_shared<CsdSnapshot>(
+    store.PublishAll(std::make_shared<CsdSnapshot>(
         dataset, TestSnapshotOptions(/*mine_patterns=*/false)));
     EXPECT_EQ(CsdSnapshot::LiveCount(), before + 2)
         << "superseded generation must stay alive while pinned";
@@ -141,7 +141,7 @@ TEST(SnapshotStoreTest, ConcurrentReadersAcrossPublishes) {
     }
 
     for (size_t p = 0; p < kPublishes; ++p) {
-      uint64_t version = store.Publish(
+      uint64_t version = store.PublishAll(
           std::make_shared<CsdSnapshot>(dataset, options));
       EXPECT_EQ(version, p + 2);
     }

@@ -1,10 +1,10 @@
-// The sharded serving path end to end: one shared version counter across
-// the global and per-shard lanes, geo-routed annotation byte-identical to
-// the monolithic path, straddling batches fanned out and reassembled in
-// request order, per-shard rebuilds publishing exactly one lane — and the
-// isolation claim the whole design exists for: a shard whose rebuild lane
-// is stuck (driven by the serve/rebuild failpoint) never blocks
-// annotation routed to any other shard.
+// The K-lane serving path end to end: one shared version counter across
+// the global slot and per-shard lanes, K = 4 geo-routed annotation
+// byte-identical to K = 1 (monolithic serving), straddling batches fanned
+// out and reassembled in request order, per-shard rebuilds publishing
+// exactly one lane — and the isolation claim the whole design exists
+// for: a shard whose rebuild lane is stuck (driven by the serve/rebuild
+// failpoint) never blocks annotation routed to any other shard.
 
 #include <gtest/gtest.h>
 
@@ -42,9 +42,8 @@ class ShardedServeTest : public ::testing::Test {
     options_ = TestSnapshotOptions();
     plan_ = std::make_unique<shard::ShardPlan>(shard::PlanForCity(
         dataset_->pois, kShards, options_.miner.csd));
-    store_ = std::make_unique<ShardedSnapshotStore>(plan_->num_shards());
-    store_->PublishAll(
-        std::make_shared<CsdSnapshot>(dataset_, options_, *plan_));
+    store_ = std::make_unique<SnapshotStore>(plan_->num_shards());
+    store_->PublishAll(BuildServingSnapshot(dataset_, options_, *plan_));
     ServeOptions serve_options;
     serve_options.snapshot = options_;
     service_ = std::make_unique<ServeService>(store_.get(), *plan_,
@@ -78,7 +77,7 @@ class ShardedServeTest : public ::testing::Test {
   std::shared_ptr<const ServeDataset> dataset_;
   SnapshotOptions options_;
   std::unique_ptr<shard::ShardPlan> plan_;
-  std::unique_ptr<ShardedSnapshotStore> store_;
+  std::unique_ptr<SnapshotStore> store_;
   std::unique_ptr<ServeService> service_;
 };
 
@@ -88,7 +87,7 @@ TEST(ShardedSnapshotStoreTest, LanesShareOneMonotonicVersionCounter) {
   shard::ShardPlan plan =
       shard::PlanForCity(dataset->pois, kShards, options.miner.csd);
 
-  ShardedSnapshotStore store(plan.num_shards());
+  SnapshotStore store(plan.num_shards());
   EXPECT_EQ(store.num_shards(), kShards);
   EXPECT_EQ(store.current_version(), 0u);
   EXPECT_EQ(store.Acquire(), nullptr);
@@ -116,14 +115,21 @@ TEST(ShardedSnapshotStoreTest, LanesShareOneMonotonicVersionCounter) {
 }
 
 TEST_F(ShardedServeTest, GeoRoutedAnnotationMatchesMonolithicService) {
-  SnapshotStore mono_store(
-      std::make_shared<CsdSnapshot>(dataset_, options_));
+  // Monolithic serving is the K = 1 case of the same path, set up the way
+  // `csdctl serve` sets up every K: plan, build, store, service.
+  shard::ShardPlan single =
+      shard::PlanForCity(dataset_->pois, 1, options_.miner.csd);
+  ASSERT_EQ(single.num_shards(), 1u);
+  SnapshotStore mono_store(single.num_shards());
+  mono_store.PublishAll(BuildServingSnapshot(dataset_, options_, single));
+  ASSERT_EQ(mono_store.Acquire()->plan(), nullptr);
+  ASSERT_NE(store_->Acquire()->plan(), nullptr);
   ServeOptions serve_options;
   serve_options.snapshot = options_;
-  ServeService mono(&mono_store, serve_options);
+  ServeService mono(&mono_store, single, serve_options);
 
-  // Real stays from the dataset, batched as the protocol would: every
-  // batch crosses tiles whenever the underlying journeys do.
+  // Real stays from the dataset, batched 8 to a request: every batch
+  // crosses tiles at K = 4 whenever the underlying journeys do.
   const size_t kBatch = 8;
   size_t compared = 0;
   for (size_t base = 0; base + kBatch <= dataset_->stays.size() &&
@@ -137,6 +143,8 @@ TEST_F(ShardedServeTest, GeoRoutedAnnotationMatchesMonolithicService) {
     AnnotateResult got = Annotate(stays);
     ASSERT_TRUE(expected.status.ok());
     ASSERT_TRUE(got.status.ok());
+    EXPECT_EQ(expected.snapshot_version, 1u);
+    EXPECT_EQ(got.snapshot_version, 1u);
     ASSERT_EQ(expected.units, got.units) << "batch at " << base;
     ASSERT_EQ(expected.stays.size(), got.stays.size());
     for (size_t i = 0; i < expected.stays.size(); ++i) {
@@ -145,7 +153,16 @@ TEST_F(ShardedServeTest, GeoRoutedAnnotationMatchesMonolithicService) {
     }
     compared += kBatch;
   }
-  ASSERT_GT(compared, 100u);
+  ASSERT_GE(compared, 400u);
+
+  // A stay-less request consults no lane and reports the global version.
+  auto empty_or = mono.AnnotateStayPoints({});
+  ASSERT_TRUE(empty_or.ok());
+  AnnotateResult empty = std::move(empty_or).value().get();
+  ASSERT_TRUE(empty.status.ok());
+  EXPECT_EQ(empty.snapshot_version, 1u);
+  EXPECT_TRUE(empty.units.empty());
+  EXPECT_EQ(Annotate({}).snapshot_version, 1u);
   mono.Shutdown();
 }
 
@@ -196,13 +213,19 @@ TEST_F(ShardedServeTest, ShardRebuildPublishesExactlyOneLane) {
   // version; one routed elsewhere still reports the old generation.
   EXPECT_EQ(Annotate({StayInShard(1)}).snapshot_version, 2u);
   EXPECT_EQ(Annotate({StayInShard(3)}).snapshot_version, 1u);
+  // A stay-less request consults no lane: it reports the global version,
+  // not the newer tile's.
+  EXPECT_EQ(Annotate({}).snapshot_version, 1u);
 
-  // Out-of-range shard and non-sharded services are rejected up front.
+  // An out-of-range shard is rejected up front — and a K = 1 service has
+  // no tile lane at all, so even shard 0 is out of range there.
   EXPECT_FALSE(service_->TriggerShardRebuild(kShards).ok());
   SnapshotStore mono_store(
       std::make_shared<CsdSnapshot>(dataset_, options_));
   ServeService mono(&mono_store);
-  EXPECT_FALSE(mono.TriggerShardRebuild(0).ok());
+  auto mono_rebuild = mono.TriggerShardRebuild(0);
+  ASSERT_FALSE(mono_rebuild.ok());
+  EXPECT_EQ(mono_rebuild.status().code(), StatusCode::kInvalidArgument);
   mono.Shutdown();
 }
 

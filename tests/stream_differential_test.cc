@@ -40,7 +40,7 @@ namespace {
 using serve::CsdSnapshot;
 using serve::ServeDataset;
 using serve::ServeService;
-using serve::ShardedSnapshotStore;
+using serve::SnapshotStore;
 using serve::testing::TestSnapshotOptions;
 
 std::string SerializeDiagram(const CitySemanticDiagram& diagram,
@@ -298,7 +298,7 @@ std::shared_ptr<const ServeDataset> MakeOracleDataset(
 struct StreamRig {
   shard::ShardPlan plan;
   std::shared_ptr<const ServeDataset> bootstrap;
-  std::unique_ptr<ShardedSnapshotStore> store;
+  std::unique_ptr<SnapshotStore> store;
   std::unique_ptr<ServeService> service;
   std::unique_ptr<StreamIngestor> ingestor;
   uint64_t bootstrap_version = 0;
@@ -315,7 +315,7 @@ StreamRig MakeRig(const std::shared_ptr<const ServeDataset>& bootstrap,
                 nullptr};
   auto snapshot = std::make_shared<CsdSnapshot>(bootstrap, options,
                                                 rig.plan);
-  rig.store = std::make_unique<ShardedSnapshotStore>(rig.plan.num_shards());
+  rig.store = std::make_unique<SnapshotStore>(rig.plan.num_shards());
   rig.bootstrap_version = rig.store->PublishAll(snapshot);
   serve::ServeOptions serve_options;
   serve_options.snapshot = options;

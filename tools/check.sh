@@ -31,12 +31,14 @@
 #      benchmark's load is caught here.
 #
 # The tsan preset pass re-runs the serve tests (the suites of the
-# serve_*_test binaries, plus the batcher and serve fault suites) a
-# second time with CSD_SERVE_STRESS=1, which multiplies the
-# reader/publisher iteration counts in the snapshot lifecycle test — the
-# cheap run guards every commit, the stress run is the one that actually
-# hunts races. ctest names tests by gtest suite, not by binary, so the
-# filter lists suites, and --no-tests=error fails it if it matches none.
+# serve_*_test binaries, the K-lane serve and store suites of
+# sharded_serve_test — the serve path at every K — plus the batcher and
+# serve fault suites) a second time with CSD_SERVE_STRESS=1, which
+# multiplies the reader/publisher iteration counts in the snapshot
+# lifecycle test — the cheap run guards every commit, the stress run is
+# the one that actually hunts races. ctest names tests by gtest suite,
+# not by binary, so the filter lists suites, and --no-tests=error fails
+# it if it matches none.
 #
 # Every step's exit code is captured explicitly: a failing ctest (or
 # build, or bench gate) marks the run failed but later steps still run,
@@ -83,7 +85,7 @@ for preset in "${PRESETS[@]}"; do
   if [ "${preset}" = "tsan" ]; then
     echo "== serve stress pass (tsan, CSD_SERVE_STRESS=1) =="
     if ! CSD_SERVE_STRESS=1 ctest --preset tsan -j --no-tests=error \
-         -R '^(CsdSnapshotTest|SnapshotStoreTest|ServeAdmissionTest|ServeServiceTest|ServeProtocolTest|ServeFaultTest|RequestBatcherTest)\.'; then
+         -R '^(CsdSnapshotTest|SnapshotStoreTest|ShardedSnapshotStoreTest|ShardedServeTest|ServeAdmissionTest|ServeServiceTest|ServeProtocolTest|ServeFaultTest|RequestBatcherTest)\.'; then
       fail "serve stress ctest (tsan)"
     fi
   fi

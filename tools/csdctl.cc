@@ -11,12 +11,12 @@
 //                    [--closed 0|1] [--out patterns.csv]
 //
 //   csdctl analyze   --patterns patterns.csv
-//   csdctl serve     --pois pois.csv --trips trips.bin
-//                    [--listen HOST:PORT] [--loops 1] [--shards K]
+//   csdctl serve     --pois pois.csv --trips trips.bin --listen HOST:PORT
+//                    [--loops 1] [--shards K]
 //                    [--max-batch 64]
 //                    [--annotate-limit 1024] [--query-limit 256]
 //                    [--sigma 50] [--delta-t-min 60] [--rho 0.002]
-//                    [--closed 0|1] [--patterns 0|1] [--retries 4]
+//                    [--closed 0|1] [--patterns 0|1]
 //                    [--stream 1] [--stream-tick-ms 1000]
 //                    [--stream-checkpoint-every N]
 //                    [--stream-reorder-window-s W]
@@ -34,23 +34,19 @@
 // Trips files ending in .csv use the text format; anything else uses the
 // CSDJ binary format.
 //
-// `serve` reads the newline-delimited request protocol documented in
-// src/serve/protocol.h from stdin and answers one line per request on
-// stdout (diagnostics go to stderr, so stdout stays pure protocol).
-// With --listen HOST:PORT it instead serves the length-prefixed binary
-// framing of src/serve/frame.h on an epoll event loop (SIGINT/SIGTERM
-// drains and exits); the stdin protocol is untouched as the fallback.
-// Either way annotations are batched without a batch window: an idle
+// `serve` serves the length-prefixed binary framing of src/serve/frame.h
+// on HOST:PORT with an epoll event loop (SIGINT/SIGTERM drains and
+// exits). Annotations are batched without a batch window: an idle
 // dispatcher runs whatever has queued, at most --max-batch requests, so
 // a lone request dispatches at once and batches grow only under load.
 //
-// With --shards K the snapshot is built tile-by-tile over a K-shard
-// spatial plan (byte-identical to the monolithic build) and served
-// through a ShardedSnapshotStore: annotation batches are geo-routed to
-// per-shard lanes and one tile can rebuild without stalling the rest
-// (docs/sharding.md).
+// The snapshot store has K lanes, K = --shards (default 1, monolithic).
+// With K > 1 the snapshot is built tile-by-tile over a K-shard spatial
+// plan (byte-identical to the monolithic build), annotation batches are
+// geo-routed to per-shard lanes, and one tile can rebuild without
+// stalling the rest (docs/sharding.md).
 //
-// With --stream 1 (needs --listen and --shards) the server also accepts
+// With --stream 1 (needs --shards K, K >= 2) the server also accepts
 // INGEST_FIX frames: live GPS fixes run through per-user online
 // stay-point detectors, and a ticker thread publishes incremental
 // snapshots rebuilding only the dirty tiles (docs/streaming.md).
@@ -66,8 +62,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <iostream>
 #include <map>
 #include <optional>
 #include <string>
@@ -86,8 +80,6 @@
 #include "scenario/chaos_timeline.h"
 #include "scenario/scenario.h"
 #include "serve/net_server.h"
-#include "serve/protocol.h"
-#include "serve/retry.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
@@ -229,16 +221,15 @@ const std::vector<CommandSpec>& Commands() {
        "summarize a mined pattern set (segments, corridors, routines)",
        {{"patterns", "patterns CSV from mine", true}}},
       {"serve",
-       "serve annotation/query requests from stdin over a snapshot store",
+       "serve annotation/query requests over the framed binary protocol",
        {{"pois", "POI CSV from generate", true},
         {"trips", "journeys file from generate", true},
         {"listen", "serve the framed binary protocol on HOST:PORT "
-                   "(port 0 picks one; SIGINT/SIGTERM stops) instead of "
-                   "the stdin line protocol"},
-        {"loops", "epoll event-loop threads for --listen (default 1)"},
-        {"shards", "serve through K spatial shard lanes (tiled build, "
-                   "geo-routed annotation, per-shard rebuild; "
-                   "default 0 = monolithic)"},
+                   "(port 0 picks one; SIGINT/SIGTERM stops)", true},
+        {"loops", "epoll event-loop threads (default 1)"},
+        {"shards", "serve through K spatial shard lanes (K > 1: tiled "
+                   "build, geo-routed annotation, per-shard rebuild; "
+                   "default 1 = monolithic)"},
         {"max-batch", "max requests per batch; a batch takes whatever "
                       "queued while the last one ran (default 64)"},
         {"annotate-limit", "max in-flight annotations (default 1024)"},
@@ -248,10 +239,8 @@ const std::vector<CommandSpec>& Commands() {
         {"rho", "density threshold (default 0.002)"},
         {"closed", "1 = closed patterns only (default 0)"},
         {"patterns", "0 = skip pattern mining on (re)build (default 1)"},
-        {"retries", "max submit attempts for transient rejections "
-                    "(default 4, 1 disables retry)"},
         {"stream", "1 = accept INGEST_FIX frames and fold them into "
-                   "incremental snapshots (needs --listen and --shards; "
+                   "incremental snapshots (needs --shards K >= 2; "
                    "docs/streaming.md)"},
         {"stream-tick-ms", "publish-tick period in milliseconds "
                            "(default 1000)"},
@@ -266,7 +255,7 @@ const std::vector<CommandSpec>& Commands() {
                                      "= no decay; builds stay "
                                      "byte-identical to batch)"},
         {"scenario", "walk the named pack's chaos schedule (failpoint "
-                     "arm/disarm per load phase) once --listen is up"},
+                     "arm/disarm per load phase) once the listener is up"},
         {"list-scenarios", "list registered scenario packs and exit"}}},
   };
   return kCommands;
@@ -569,40 +558,36 @@ int CmdServe(const Args& args) {
     std::printf("%s", scenario::ListScenariosText().c_str());
     return 0;
   }
-  if (!args.Require({"pois", "trips"})) return 2;
+  if (!args.Require({"pois", "trips", "listen"})) return 2;
   // --scenario arms the pack's chaos windows on the pack's load-phase
   // clock once the listener is up; validate the name before the build.
   std::optional<scenario::ScenarioPack> chaos_pack;
   if (args.Has("scenario")) {
     auto pack_or = scenario::GetScenario(args.Get("scenario"));
     if (!pack_or.ok()) return Fail(pack_or.status());
-    if (!args.Has("listen")) {
-      return Fail(Status::InvalidArgument(
-          "--scenario drives the chaos schedule against network load and "
-          "needs --listen"));
-    }
     chaos_pack = std::move(pack_or).value();
   }
+  const size_t shards =
+      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("shards", 1)));
   const bool stream_on = args.GetInt("stream", 0) != 0;
-  if (stream_on && (!args.Has("listen") || args.GetInt("shards", 0) <= 0)) {
+  if (stream_on && shards < 2) {
     return Fail(Status::InvalidArgument(
-        "--stream needs both --listen (INGEST_FIX frames arrive there) and "
-        "--shards (incremental publication rebuilds dirty tiles)"));
+        "--stream needs --shards K with K >= 2 (incremental publication "
+        "rebuilds dirty tiles)"));
   }
   // Validate --listen before the expensive snapshot build, and block the
   // lifetime signals before any service/loop thread spawns so every
   // thread inherits the mask and sigwait below is the only receiver.
-  std::pair<std::string, uint16_t> listen_addr;
+  auto addr_or = ParseListenAddress(args.Get("listen"));
+  if (!addr_or.ok()) return Fail(addr_or.status());
+  const std::pair<std::string, uint16_t> listen_addr =
+      std::move(addr_or).value();
   sigset_t signal_set;
-  if (args.Has("listen")) {
-    auto addr_or = ParseListenAddress(args.Get("listen"));
-    if (!addr_or.ok()) return Fail(addr_or.status());
-    listen_addr = std::move(addr_or).value();
-    sigemptyset(&signal_set);
-    sigaddset(&signal_set, SIGINT);
-    sigaddset(&signal_set, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &signal_set, nullptr);
-  }
+  sigemptyset(&signal_set);
+  sigaddset(&signal_set, SIGINT);
+  sigaddset(&signal_set, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &signal_set, nullptr);
+
   auto pois_or = ReadPoisCsv(args.Get("pois"));
   if (!pois_or.ok()) return Fail(pois_or.status());
   auto journeys_or = LoadJourneys(args.Get("trips"));
@@ -646,37 +631,20 @@ int CmdServe(const Args& args) {
       static_cast<size_t>(args.GetInt("query-limit", 256));
   options.snapshot = snapshot_options;
 
-  // The two store types differ, so the service lives in an optional and
-  // the rest of the command works through a reference; ServeService is
-  // not movable (it owns threads), hence emplace.
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(0, args.GetInt("shards", 0)));
+  // The bootstrap is a direct build (not a queued rebuild, so a rebuild
+  // failpoint armed from process start cannot fail it), through the same
+  // K-dependent choice every full rebuild makes.
   Stopwatch watch;
-  std::shared_ptr<serve::CsdSnapshot> initial;
-  std::optional<serve::SnapshotStore> store;
-  std::optional<serve::ShardedSnapshotStore> sharded_store;
-  std::optional<serve::ServeService> service_storage;
-  uint64_t initial_version = 0;
-  std::optional<shard::ShardPlan> stream_plan;
-  if (shards > 0) {
-    shard::ShardPlan plan = shard::PlanForCity(dataset->pois, shards,
-                                               snapshot_options.miner.csd);
-    initial = std::make_shared<serve::CsdSnapshot>(dataset, snapshot_options,
-                                                   plan);
-    sharded_store.emplace(plan.num_shards());
-    initial_version = sharded_store->PublishAll(initial);
-    if (stream_on) stream_plan = plan;  // the ingestor needs its own copy
-    service_storage.emplace(&*sharded_store, std::move(plan), options);
-  } else {
-    initial = std::make_shared<serve::CsdSnapshot>(dataset, snapshot_options);
-    store.emplace(initial);
-    initial_version = store->current_version();
-    service_storage.emplace(&*store, options);
-  }
-  serve::ServeService& service = *service_storage;
+  const shard::ShardPlan plan =
+      shard::PlanForCity(dataset->pois, shards, snapshot_options.miner.csd);
+  std::shared_ptr<serve::CsdSnapshot> initial =
+      serve::BuildServingSnapshot(dataset, snapshot_options, plan);
+  serve::SnapshotStore store(plan.num_shards());
+  const uint64_t initial_version = store.PublishAll(initial);
+  serve::ServeService service(&store, plan, options);
 
   std::string shard_note =
-      shards > 0 ? StrFormat(", %zu shard lanes", shards) : "";
+      shards > 1 ? StrFormat(", %zu shard lanes", shards) : "";
   std::fprintf(stderr,
                "serve: snapshot v%llu ready in %.2fs (%zu units, %zu "
                "patterns, %zu journeys%s)\n",
@@ -685,255 +653,113 @@ int CmdServe(const Args& args) {
                initial->patterns().size(), journeys_or.value().size(),
                shard_note.c_str());
 
-  if (args.Has("listen")) {
-    serve::NetServerOptions net_options;
-    net_options.host = listen_addr.first;
-    net_options.port = listen_addr.second;
-    net_options.num_loops =
-        static_cast<size_t>(std::max<int64_t>(1, args.GetInt("loops", 1)));
+  serve::NetServerOptions net_options;
+  net_options.host = listen_addr.first;
+  net_options.port = listen_addr.second;
+  net_options.num_loops =
+      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("loops", 1)));
 
-    // The streaming layer sits behind the INGEST_FIX frame: fixes fold
-    // into per-user detectors on the ingest path, and a ticker thread
-    // turns the accumulated delta into incremental publications.
-    std::optional<stream::StreamIngestor> ingestor;
-    std::thread ticker;
-    std::atomic<bool> ticker_stop{false};
-    if (stream_on) {
-      stream::StreamOptions stream_options;
-      stream_options.checkpoint_every = static_cast<size_t>(
-          std::max<int64_t>(0, args.GetInt("stream-checkpoint-every", 0)));
-      stream_options.detector.reorder_window_s =
-          std::max<int64_t>(0, args.GetInt("stream-reorder-window-s", 0));
-      ingestor.emplace(&service, &*sharded_store, *stream_plan, dataset,
-                       stream_options);
-      net_options.ingest_handler =
-          [&ingestor](uint32_t user_id, std::span<const GpsPoint> fixes) {
-            return ingestor->IngestFixes(user_id, fixes);
-          };
-      const auto tick = std::chrono::milliseconds(
-          std::max<int64_t>(1, args.GetInt("stream-tick-ms", 1000)));
-      ticker = std::thread([&ingestor, &ticker_stop, tick] {
-        while (!ticker_stop.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(tick);
-          if (ticker_stop.load(std::memory_order_acquire)) break;
-          if (ingestor->pending_stays() > 0) ingestor->PublishTick();
-        }
-      });
-      std::fprintf(stderr,
-                   "serve: stream ingest on (tick %lld ms, checkpoint "
-                   "every %zu ticks, reorder window %lld s, decay "
-                   "half-life %.0f s)\n",
-                   static_cast<long long>(tick.count()),
-                   stream_options.checkpoint_every,
-                   static_cast<long long>(
-                       stream_options.detector.reorder_window_s),
-                   decay_half_life_s);
-    }
-    auto server_or = serve::NetServer::Start(&service, net_options);
-    if (!server_or.ok()) {
-      if (ticker.joinable()) {
-        ticker_stop.store(true, std::memory_order_release);
-        ticker.join();
+  // The streaming layer sits behind the INGEST_FIX frame: fixes fold
+  // into per-user detectors on the ingest path, and a ticker thread
+  // turns the accumulated delta into incremental publications.
+  std::optional<stream::StreamIngestor> ingestor;
+  std::thread ticker;
+  std::atomic<bool> ticker_stop{false};
+  if (stream_on) {
+    stream::StreamOptions stream_options;
+    stream_options.checkpoint_every = static_cast<size_t>(
+        std::max<int64_t>(0, args.GetInt("stream-checkpoint-every", 0)));
+    stream_options.detector.reorder_window_s =
+        std::max<int64_t>(0, args.GetInt("stream-reorder-window-s", 0));
+    ingestor.emplace(&service, &store, plan, dataset, stream_options);
+    net_options.ingest_handler =
+        [&ingestor](uint32_t user_id, std::span<const GpsPoint> fixes) {
+          return ingestor->IngestFixes(user_id, fixes);
+        };
+    const auto tick = std::chrono::milliseconds(
+        std::max<int64_t>(1, args.GetInt("stream-tick-ms", 1000)));
+    ticker = std::thread([&ingestor, &ticker_stop, tick] {
+      while (!ticker_stop.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(tick);
+        if (ticker_stop.load(std::memory_order_acquire)) break;
+        if (ingestor->pending_stays() > 0) ingestor->PublishTick();
       }
-      service.Shutdown();
-      return Fail(server_or.status());
-    }
-    std::unique_ptr<serve::NetServer> server = std::move(server_or).value();
+    });
     std::fprintf(stderr,
-                 "serve: listening on %s:%u (framed binary protocol, %zu "
-                 "loops); SIGINT/SIGTERM drains and exits\n",
-                 net_options.host.c_str(),
-                 static_cast<unsigned>(server->port()),
-                 net_options.num_loops);
-    // The chaos walker starts on the listen announcement; a client pacing
-    // the same pack is expected to connect promptly (docs/scenarios.md
-    // covers the wall-clock alignment).
-    std::atomic<bool> chaos_stop{false};
-    std::thread chaos;
-    if (chaos_pack) {
-      std::fprintf(stderr,
-                   "serve: scenario %s chaos schedule armed (%zu windows "
-                   "over %.0fs)\n",
-                   chaos_pack->name.c_str(), chaos_pack->chaos.size(),
-                   chaos_pack->TotalDurationS());
-      chaos = std::thread([&chaos_pack, &chaos_stop] {
-        scenario::RunChaosTimeline(*chaos_pack, chaos_stop);
-      });
-    }
-    int sig = 0;
-    sigwait(&signal_set, &sig);
-    std::fprintf(stderr, "serve: signal %d, draining\n", sig);
-    if (chaos.joinable()) {
-      chaos_stop.store(true, std::memory_order_release);
-      chaos.join();
-    }
-    server->Shutdown();
+                 "serve: stream ingest on (tick %lld ms, checkpoint "
+                 "every %zu ticks, reorder window %lld s, decay "
+                 "half-life %.0f s)\n",
+                 static_cast<long long>(tick.count()),
+                 stream_options.checkpoint_every,
+                 static_cast<long long>(
+                     stream_options.detector.reorder_window_s),
+                 decay_half_life_s);
+  }
+  auto server_or = serve::NetServer::Start(&service, net_options);
+  if (!server_or.ok()) {
     if (ticker.joinable()) {
       ticker_stop.store(true, std::memory_order_release);
       ticker.join();
     }
-    if (ingestor) {
-      // Close every open detector window and fold the remainder through
-      // one forced checkpoint, so a drained server leaves an exact
-      // full-city snapshot behind and both stream gauges read zero (the
-      // CI stream-smoke job asserts the scraped values, not presence).
-      ingestor->FlushAll();
-      ingestor->PublishTick(/*force_checkpoint=*/true);
-      std::fprintf(
-          stderr,
-          "serve: stream drained (%llu fixes, %llu stays, %llu late "
-          "dropped, %zu pending)\n",
-          static_cast<unsigned long long>(ingestor->fixes_ingested()),
-          static_cast<unsigned long long>(ingestor->stays_emitted()),
-          static_cast<unsigned long long>(ingestor->late_dropped()),
-          ingestor->pending_stays());
-    }
     service.Shutdown();
+    return Fail(server_or.status());
+  }
+  std::unique_ptr<serve::NetServer> server = std::move(server_or).value();
+  std::fprintf(stderr,
+               "serve: listening on %s:%u (framed binary protocol, %zu "
+               "loops); SIGINT/SIGTERM drains and exits\n",
+               net_options.host.c_str(),
+               static_cast<unsigned>(server->port()), net_options.num_loops);
+  // The chaos walker starts on the listen announcement; a client pacing
+  // the same pack is expected to connect promptly (docs/scenarios.md
+  // covers the wall-clock alignment).
+  std::atomic<bool> chaos_stop{false};
+  std::thread chaos;
+  if (chaos_pack) {
+    std::fprintf(stderr,
+                 "serve: scenario %s chaos schedule armed (%zu windows "
+                 "over %.0fs)\n",
+                 chaos_pack->name.c_str(), chaos_pack->chaos.size(),
+                 chaos_pack->TotalDurationS());
+    chaos = std::thread([&chaos_pack, &chaos_stop] {
+      scenario::RunChaosTimeline(*chaos_pack, chaos_stop);
+    });
+  }
+  int sig = 0;
+  sigwait(&signal_set, &sig);
+  std::fprintf(stderr, "serve: signal %d, draining\n", sig);
+  if (chaos.joinable()) {
+    chaos_stop.store(true, std::memory_order_release);
+    chaos.join();
+  }
+  server->Shutdown();
+  if (ticker.joinable()) {
+    ticker_stop.store(true, std::memory_order_release);
+    ticker.join();
+  }
+  if (ingestor) {
+    // Close every open detector window and fold the remainder through
+    // one forced checkpoint, so a drained server leaves an exact
+    // full-city snapshot behind and both stream gauges read zero (the
+    // CI stream-smoke job asserts the scraped values, not presence).
+    ingestor->FlushAll();
+    ingestor->PublishTick(/*force_checkpoint=*/true);
     std::fprintf(
         stderr,
-        "serve: drained (annotate %llu admitted / %llu rejected)\n",
-        static_cast<unsigned long long>(
-            service.admission().Admitted(serve::RequestClass::kAnnotate)),
-        static_cast<unsigned long long>(
-            service.admission().Rejected(serve::RequestClass::kAnnotate)));
-    return 0;
+        "serve: stream drained (%llu fixes, %llu stays, %llu late "
+        "dropped, %zu pending)\n",
+        static_cast<unsigned long long>(ingestor->fixes_ingested()),
+        static_cast<unsigned long long>(ingestor->stays_emitted()),
+        static_cast<unsigned long long>(ingestor->late_dropped()),
+        ingestor->pending_stays());
   }
-  std::fprintf(stderr, "serve: reading requests from stdin\n");
-
-  // Responses go out in request order, but slow ones (annotation futures,
-  // rebuilds) must not serialize the pipeline — they park in this deque
-  // and the front is flushed as it becomes ready, so the batcher sees
-  // many requests in flight and can actually coalesce.
-  struct Pending {
-    enum Kind { kReady, kAnnotate, kRebuild } kind = kReady;
-    std::string text;
-    std::future<serve::AnnotateResult> annotate;
-    std::future<serve::RebuildResult> rebuild;
-  };
-  std::deque<Pending> pending;
-  auto park = [&pending](std::string text) {
-    Pending p;
-    p.text = std::move(text);
-    pending.push_back(std::move(p));
-  };
-  auto flush = [&pending](bool block) {
-    while (!pending.empty()) {
-      Pending& front = pending.front();
-      std::string text;
-      if (front.kind == Pending::kAnnotate) {
-        if (!block && front.annotate.wait_for(std::chrono::seconds(0)) !=
-                          std::future_status::ready) {
-          break;
-        }
-        serve::AnnotateResult result = front.annotate.get();
-        text = result.status.ok()
-                   ? serve::FormatAnnotateResponse(result)
-                   : serve::FormatErrorResponse(result.status);
-      } else if (front.kind == Pending::kRebuild) {
-        if (!block && front.rebuild.wait_for(std::chrono::seconds(0)) !=
-                          std::future_status::ready) {
-          break;
-        }
-        serve::RebuildResult result = front.rebuild.get();
-        text = result.status.ok()
-                   ? serve::FormatRebuildResponse(result)
-                   : serve::FormatErrorResponse(result.status);
-      } else {
-        text = std::move(front.text);
-      }
-      pending.pop_front();
-      text += '\n';
-      std::fputs(text.c_str(), stdout);
-    }
-    std::fflush(stdout);
-  };
-
-  // Transient rejections (admission shedding, drain races) retry with
-  // jittered exponential backoff before turning into an err response; the
-  // stays are copied per attempt so a retry re-submits the same request.
-  serve::RetryPolicy retry_policy;
-  retry_policy.max_attempts =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("retries", 4)));
-  uint64_t request_seq = 0;
-
-  std::string line;
-  bool quit = false;
-  while (!quit && std::getline(std::cin, line)) {
-    flush(/*block=*/false);
-    if (TrimString(line).empty()) continue;
-    auto parsed_or = serve::ParseRequestLine(line);
-    if (!parsed_or.ok()) {
-      park(serve::FormatErrorResponse(parsed_or.status()));
-      continue;
-    }
-    serve::ProtocolRequest request = std::move(parsed_or).value();
-    switch (request.kind) {
-      case serve::RequestKind::kAnnotate:
-      case serve::RequestKind::kJourney: {
-        auto deadline =
-            request.deadline_budget.count() > 0
-                ? std::chrono::steady_clock::now() + request.deadline_budget
-                : serve::kNoDeadline;
-        auto future_or = serve::RetryWithBackoff(
-            retry_policy, ++request_seq, [&] {
-              return request.kind == serve::RequestKind::kAnnotate
-                         ? service.AnnotateStayPoints(request.stays, deadline)
-                         : service.AnnotateJourney(request.journey, deadline);
-            });
-        if (!future_or.ok()) {
-          park(serve::FormatErrorResponse(future_or.status()));
-        } else {
-          Pending p;
-          p.kind = Pending::kAnnotate;
-          p.annotate = std::move(future_or).value();
-          pending.push_back(std::move(p));
-        }
-        break;
-      }
-      case serve::RequestKind::kQueryUnit: {
-        auto result_or = service.QueryPatternsByUnit(request.unit);
-        park(result_or.ok()
-                 ? serve::FormatQueryResponse(result_or.value())
-                 : serve::FormatErrorResponse(result_or.status()));
-        break;
-      }
-      case serve::RequestKind::kRebuild: {
-        auto future_or = service.TriggerRebuild();
-        if (!future_or.ok()) {
-          park(serve::FormatErrorResponse(future_or.status()));
-        } else {
-          Pending p;
-          p.kind = Pending::kRebuild;
-          p.rebuild = std::move(future_or).value();
-          pending.push_back(std::move(p));
-        }
-        break;
-      }
-      case serve::RequestKind::kStats:
-        park(serve::FormatStatsResponse(service));
-        break;
-      case serve::RequestKind::kQuit:
-        quit = true;
-        break;
-    }
-  }
-  flush(/*block=*/true);
   service.Shutdown();
-  std::fprintf(stderr,
-               "serve: drained (annotate %llu admitted / %llu rejected, "
-               "query %llu/%llu, rebuild %llu/%llu)\n",
-               static_cast<unsigned long long>(
-                   service.admission().Admitted(serve::RequestClass::kAnnotate)),
-               static_cast<unsigned long long>(
-                   service.admission().Rejected(serve::RequestClass::kAnnotate)),
-               static_cast<unsigned long long>(
-                   service.admission().Admitted(serve::RequestClass::kQuery)),
-               static_cast<unsigned long long>(
-                   service.admission().Rejected(serve::RequestClass::kQuery)),
-               static_cast<unsigned long long>(
-                   service.admission().Admitted(serve::RequestClass::kRebuild)),
-               static_cast<unsigned long long>(
-                   service.admission().Rejected(serve::RequestClass::kRebuild)));
+  std::fprintf(
+      stderr, "serve: drained (annotate %llu admitted / %llu rejected)\n",
+      static_cast<unsigned long long>(
+          service.admission().Admitted(serve::RequestClass::kAnnotate)),
+      static_cast<unsigned long long>(
+          service.admission().Rejected(serve::RequestClass::kAnnotate)));
   return 0;
 }
 
